@@ -21,7 +21,7 @@ import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
@@ -59,8 +59,9 @@ def config_hash(config: dict) -> str:
 
 def render_fraction(fr: Fraction) -> dict:
     """Exact p/q plus a 15-significant-digit decimal rendering."""
-    getcontext().prec = 15
-    dec = Decimal(fr.numerator) / Decimal(fr.denominator) if fr.denominator else Decimal(0)
+    with localcontext() as ctx:
+        ctx.prec = 15
+        dec = Decimal(fr.numerator) / Decimal(fr.denominator) if fr.denominator else Decimal(0)
     return {
         "exact": f"{fr.numerator}/{fr.denominator}",
         "decimal": str(dec),

@@ -286,7 +286,10 @@ def _cmd_girth5(args) -> int:
 def _default_threads() -> int:
     env = os.environ.get("WPNLAB_THREADS")
     if env:
-        return max(1, int(env))
+        try:
+            return max(1, int(env))
+        except ValueError:
+            raise ValueError(f"WPNLAB_THREADS must be an integer, got {env!r}") from None
     return 1
 
 
@@ -374,8 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        # the parser reads WPNLAB_THREADS for its defaults
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except BudgetExhausted as exc:
         print(f"wpn-lab: {exc}", file=sys.stderr)

@@ -130,37 +130,11 @@ def wpn(h: Graph) -> int:
 
 def is_witnessing_sequence(h: Graph, seq: WitnessSequence) -> bool:
     """True iff no partition of V(h) into len(seq) (possibly empty) parts
-    has every induced part inside its family."""
-    k = len(seq)
-    memo: list[dict[int, bool]] = [dict() for _ in range(k)]
-
-    def part_ok(i: int, mask: int) -> bool:
-        cache = memo[i]
-        got = cache.get(mask)
-        if got is None:
-            got = member(seq.parts[i], h.induced(mask))
-            cache[mask] = got
-        return got
-
-    masks = [0] * k
-
-    def rec(v: int) -> bool:
-        # True iff some completion certifies h against itself
-        if v == h.n:
-            return True
-        for i in range(k):
-            m = masks[i] | 1 << v
-            if part_ok(i, m):
-                masks[i] = m
-                if rec(v + 1):
-                    return True
-                masks[i] = m ^ 1 << v
-        return False
-
-    if any(not part_ok(i, 0) for i in range(k)):
-        # a family rejecting the empty graph rejects everything
-        return True
-    return not rec(0)
+    has every induced part inside its family, i.e. h has no certificate
+    against seq.  The exhaustive search is find_certificate's, so repeated
+    families cost one branch per distinct arrangement, not one per
+    relabelling of their slots."""
+    return find_certificate(h, seq) is None
 
 
 def _clique_like(f: FamilySpec) -> bool:
@@ -175,9 +149,24 @@ def find_certificate(g: Graph, seq: WitnessSequence) -> PartitionCertificate | N
     Backtracking vertex by vertex; heredity makes pruning on the current
     part content sound.  Clique-family slots are branched first since they
     prune fastest.
+
+    Slots with equal families are twins.  A vertex may open an empty slot
+    only when the twin before it in branching order is already filled, so
+    among twins the filled slots are always a prefix of that order.  A
+    skipped branch is the earlier twin's branch with the two slots' labels
+    swapped from this vertex on: swapping turns any certificate in it into
+    one that the search meets first.  So the pruning never skips the first
+    certificate of the unpruned search, and the result is the same
+    assignment, only found without exploring every relabelling of the twins.
     """
     k = len(seq)
     order = sorted(range(k), key=lambda i: (0 if _clique_like(seq.parts[i]) else 1, i))
+    # (slot, its previous twin in branching order or None), in branching order
+    branches = []
+    for pos, i in enumerate(order):
+        twin = next((j for j in reversed(order[:pos])
+                     if seq.parts[j] == seq.parts[i]), None)
+        branches.append((i, twin))
     memo: list[dict[int, bool]] = [dict() for _ in range(k)]
 
     def part_ok(i: int, mask: int) -> bool:
@@ -196,7 +185,9 @@ def find_certificate(g: Graph, seq: WitnessSequence) -> PartitionCertificate | N
     def rec(v: int) -> bool:
         if v == g.n:
             return True
-        for i in order:
+        for i, twin in branches:
+            if twin is not None and not masks[i] and not masks[twin]:
+                continue
             m = masks[i] | 1 << v
             if part_ok(i, m):
                 masks[i] = m

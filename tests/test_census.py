@@ -1,5 +1,6 @@
 import json
 import math
+from decimal import getcontext, localcontext
 
 import pytest
 
@@ -82,6 +83,15 @@ def test_census_known_value_n6():
     assert rep.total == 1 << 15
     assert rep.hfree == 32708
     assert 0 < rep.certifiable < rep.hfree
+
+
+def test_census_report_leaves_decimal_context_alone():
+    with localcontext() as ctx:
+        ctx.prec = 7
+        frac = census(6, cycle(6), "c6", mode="unlabeled").to_dict()[
+            "certifiable_fraction"]
+        assert getcontext().prec == 7
+    assert frac == {"exact": "8157/8177", "decimal": "0.997554115201174"}
 
 
 def test_census_modes_agree():

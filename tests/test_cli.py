@@ -176,3 +176,11 @@ def test_threads_env_default(monkeypatch, capsys):
     monkeypatch.setenv("WPNLAB_THREADS", "2")
     assert main(["wpn", C6]) == 0
     assert capsys.readouterr().out.strip() == "2"
+
+
+def test_threads_env_invalid_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv("WPNLAB_THREADS", "abc")
+    assert main(["wpn", C6]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wpn-lab: WPNLAB_THREADS")

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -25,11 +27,12 @@ from wpnlab.witnessing import (
     wpn,
 )
 
-from .test_graphs import graphs_up_to_6
+from .test_graphs import graphs_up_to_6, random_graph
 
 STABLE = FamilySpec.named("stable")
 CLIQUE = FamilySpec.named("clique")
 COGIRTH5 = FamilySpec.named("co-girth-5")
+CLUSTER = FamilySpec.forbidden([path(3)])
 TWO_K3 = clique(3).disjoint_union(clique(3))
 
 
@@ -164,3 +167,69 @@ def test_witnessing_monotone_in_forbidden_sets(g, seed_bits):
     seq_big = WitnessSequence((bigger, STABLE))
     if is_witnessing_sequence(g, seq_small):
         assert is_witnessing_sequence(g, seq_big)
+
+
+graphs_up_to_7 = st.integers(0, 7).flatmap(
+    lambda n: st.builds(random_graph, st.just(n),
+                        st.integers(0, (1 << (n * (n - 1) // 2)) - 1)))
+
+# sequences that repeat a family in two or more slots, twins adjacent or not
+# in branching order
+REPEATED_FAMILY_SEQUENCES = [
+    theorem_sequence("c8"),
+    theorem_sequence("c10"),
+    WitnessSequence((STABLE, STABLE, CLIQUE, CLIQUE)),
+    WitnessSequence((CLIQUE, STABLE, CLIQUE, STABLE, STABLE)),
+    WitnessSequence((CLUSTER, STABLE, CLUSTER)),
+]
+
+
+def _unpruned_certificate(g, seq):
+    """Reference search: find_certificate's slot order, no twin pruning."""
+    k = len(seq)
+    order = sorted(range(k), key=lambda i: (
+        seq.parts[i].name not in ("clique", "clique-or-e2"), i))
+    masks = [0] * k
+    assignment = [0] * g.n
+
+    def rec(v):
+        if v == g.n:
+            return True
+        for i in order:
+            m = masks[i] | 1 << v
+            if member(seq.parts[i], g.induced(m)):
+                masks[i] = m
+                assignment[v] = i
+                if rec(v + 1):
+                    return True
+                masks[i] = m ^ 1 << v
+        return False
+
+    if any(not member(f, g.induced(0)) for f in seq.parts) or not rec(0):
+        return None
+    return tuple(assignment)
+
+
+@pytest.mark.parametrize("seq", REPEATED_FAMILY_SEQUENCES,
+                         ids=lambda s: "+".join(f.label() for f in s.parts))
+@given(g=graphs_up_to_7)
+@settings(max_examples=25, deadline=None)
+def test_find_certificate_matches_brute_force_and_unpruned_search(seq, g):
+    k = len(seq)
+    ok = [[member(f, g.induced(m)) for m in range(1 << g.n)] for f in seq.parts]
+
+    def valid(assignment):
+        masks = [0] * k
+        for v, i in enumerate(assignment):
+            masks[i] |= 1 << v
+        return all(ok[i][m] for i, m in enumerate(masks))
+
+    exists = any(valid(a) for a in itertools.product(range(k), repeat=g.n))
+    cert = find_certificate(g, seq)
+    assert (cert is not None) == exists
+    assert is_witnessing_sequence(g, seq) == (not exists)
+    if cert is not None:
+        assert cert.verify(g)
+        assert cert.partition.assignment == _unpruned_certificate(g, seq)
+    else:
+        assert _unpruned_certificate(g, seq) is None
