@@ -9,7 +9,7 @@ import argparse
 import time
 
 from wpnlab.census import census
-from wpnlab.graphs import cycle
+from wpnlab.witnessing import theorem_cycle
 
 
 def main() -> None:
@@ -22,10 +22,7 @@ def main() -> None:
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
-    m = {"c6": 6, "c8": 8, "c10": 10}.get(args.theorem)
-    if m is None:
-        m = 2 * int(args.theorem.split(":")[1])
-    forb = cycle(m)
+    forb = theorem_cycle(args.theorem)
 
     print(f"{'n':>3} {'total':>12} {'hfree':>12} {'certifiable':>12} "
           f"{'fraction':>10} {'secs':>8}")

@@ -1,11 +1,14 @@
 """Exhaustive censuses of small graphs: H-free counts, theorem-certifiable
 counts, and girth-5 degree statistics.
 
-Two modes.  Labeled mode walks every edge subset (n <= 8) and is shardable
-by edge-mask prefix for parallel runs.  Unlabeled-weighted mode walks one
-representative per isomorphism class (n <= 10) and weights by orbit size
-n!/|Aut|, which reproduces the labeled totals exactly; agreement of the two
-modes is itself a census invariant for n <= 7.
+Both modes run one fold over (graph, weight) pairs: each graph is tested
+for an induced forbidden cycle, certified, cross-checked for soundness and
+counted with its weight.  Labeled mode feeds it every edge subset (n <= 8)
+with weight 1, sharded by edge-mask prefix for parallel and resumable runs.
+Unlabeled-weighted mode feeds it one representative per isomorphism class
+(n <= 10) with weight n!/|Aut|, which reproduces the labeled totals
+exactly; agreement of the two modes is itself a census invariant for
+n <= 7.  Unlabeled runs are serial and take no shard count or manifest.
 
 All fractions are exact rationals; reports contain no wall-clock data, so a
 report is byte-identical for a fixed configuration regardless of thread
@@ -31,12 +34,11 @@ from .graphs import (
     bits,
     automorphism_count,
     contains_induced,
-    cycle,
     emit_graph6,
     is_isomorphic,
     parse_graph6,
 )
-from .witnessing import theorem_certifier
+from .witnessing import theorem_certifier, theorem_cycle
 
 MAX_LABELED_N = 8
 MAX_UNLABELED_N = 10
@@ -211,17 +213,6 @@ def c6_certifiable(g: Graph) -> bool:
 # -- census --------------------------------------------------------------------
 
 
-_THEOREMS = ("c6", "c8", "c10")
-
-
-def _theorem_cycle_length(theorem: str) -> int:
-    if theorem.startswith("c2l:"):
-        return 2 * int(theorem.split(":", 1)[1])
-    if theorem in _THEOREMS:
-        return int(theorem[1:])
-    raise ValueError(f"unknown theorem id {theorem!r}")
-
-
 @dataclass(frozen=True)
 class CensusConfig:
     n: int
@@ -236,11 +227,10 @@ class CensusConfig:
         nmax = MAX_LABELED_N if self.mode == "labeled" else MAX_UNLABELED_N
         if not 1 <= self.n <= nmax:
             raise ValueError(f"{self.mode} census supports 1 <= n <= {nmax}")
-        m = _theorem_cycle_length(self.theorem)
-        forb = parse_graph6(self.forbidden_g6)
-        if not is_isomorphic(forb, cycle(m)):
+        expected = theorem_cycle(self.theorem)
+        if not is_isomorphic(parse_graph6(self.forbidden_g6), expected):
             raise ValueError(
-                f"theorem {self.theorem} expects the forbidden graph C{m}")
+                f"theorem {self.theorem} expects the forbidden graph C{expected.n}")
         nbits = self.n * (self.n - 1) // 2
         if not 0 <= self.shard_prefix_bits <= min(nbits, 12):
             raise ValueError("bad shard prefix length")
@@ -292,57 +282,44 @@ def _certifiable(g: Graph, theorem: str) -> bool:
     return theorem_certifier(g, theorem) is not None
 
 
-def _count_shard(config: CensusConfig, prefix: int) -> dict:
-    """Exact counts over one edge-mask-prefix shard of the labeled census."""
-    n, m = config.n, _theorem_cycle_length(config.theorem)
-    forb = cycle(m)
-    nbits = n * (n - 1) // 2
-    low = nbits - config.shard_prefix_bits
-    total = hfree = certifiable = 0
-    exhaustive_check = n <= 6
-    for rest in range(1 << low):
-        mask = (prefix << low) | rest
-        g = graph_from_edge_mask(n, mask)
-        total += 1
-        if has_induced_cycle(g, m):
-            continue
-        hfree += 1
-        if _certifiable(g, config.theorem):
-            certifiable += 1
-            if exhaustive_check or certifiable % 1024 == 1:
-                if contains_induced(g, forb):
-                    raise RuntimeError(
-                        "soundness cross-check failed: certifiable graph "
-                        f"{emit_graph6(g)} contains the forbidden cycle")
-    return {"prefix": prefix, "done": True,
-            "total": total, "hfree": hfree, "certifiable": certifiable}
+def _fold(config: CensusConfig, weighted_graphs) -> tuple[int, int, int]:
+    """Weighted (total, hfree, certifiable) over (graph, weight) pairs.
 
-
-def _count_shard_star(args):
-    return _count_shard(*args)
-
-
-def _census_unlabeled(config: CensusConfig) -> CensusReport:
-    m = _theorem_cycle_length(config.theorem)
-    forb = cycle(m)
-    total = hfree = certifiable = 0
-    checked = 0
-    for g in _unlabeled_classes(config.n):
-        w = orbit_size(g)
+    The soundness cross-check runs on every certifiable graph when n <= 6,
+    otherwise on every 1024th one visited, counted without weights.
+    """
+    forb = theorem_cycle(config.theorem)
+    exhaustive_check = config.n <= 6
+    total = hfree = certifiable = checked = 0
+    for g, w in weighted_graphs:
         total += w
-        if has_induced_cycle(g, m):
+        if has_induced_cycle(g, forb.n):
             continue
         hfree += w
         if _certifiable(g, config.theorem):
             certifiable += w
             checked += 1
-            if config.n <= 6 or checked % 1024 == 1:
+            if exhaustive_check or checked % 1024 == 1:
                 if contains_induced(g, forb):
                     raise RuntimeError(
                         "soundness cross-check failed: certifiable graph "
                         f"{emit_graph6(g)} contains the forbidden cycle")
-    return CensusReport(config=config, total=total, hfree=hfree,
-                        certifiable=certifiable, shards=[])
+    return total, hfree, certifiable
+
+
+def _shard_size(config: CensusConfig) -> int:
+    """Edge masks per shard of the labeled census."""
+    return 1 << (config.n * (config.n - 1) // 2 - config.shard_prefix_bits)
+
+
+def _count_shard(config: CensusConfig, prefix: int) -> dict:
+    """Exact counts over one edge-mask-prefix shard of the labeled census."""
+    size = _shard_size(config)
+    total, hfree, certifiable = _fold(
+        config, ((graph_from_edge_mask(config.n, prefix * size + rest), 1)
+                 for rest in range(size)))
+    return {"prefix": prefix, "done": True,
+            "total": total, "hfree": hfree, "certifiable": certifiable}
 
 
 def _merge_report(config: CensusConfig, shard_counts: list[dict]) -> CensusReport:
@@ -359,10 +336,30 @@ def _merge_report(config: CensusConfig, shard_counts: list[dict]) -> CensusRepor
 def _load_manifest(path: str, config: CensusConfig) -> list[dict]:
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
+    if not isinstance(manifest, dict):
+        raise ValueError(f"manifest {path} is not a JSON object")
     if manifest.get("config_hash") != config.hash():
         raise ConfigMismatch(
             "manifest was produced under a different configuration")
-    return manifest["shards"]
+    shards = manifest.get("shards")
+    if not isinstance(shards, list):
+        raise ValueError(f"manifest {path} has no shard list")
+    seen = set()
+    size = _shard_size(config)
+    for s in shards:
+        if not isinstance(s, dict) or type(s.get("done")) is not bool or any(
+                type(s.get(k)) is not int
+                for k in ("prefix", "total", "hfree", "certifiable")):
+            raise ValueError(f"manifest shard {s!r} needs integer prefix, "
+                             "total, hfree, certifiable and boolean done")
+        if not 0 <= s["prefix"] < 1 << config.shard_prefix_bits:
+            raise ValueError(f"manifest shard prefix {s['prefix']} out of range")
+        if s["prefix"] in seen:
+            raise ValueError(f"manifest shard prefix {s['prefix']} repeats")
+        seen.add(s["prefix"])
+        if s["done"] and not 0 <= s["certifiable"] <= s["hfree"] <= s["total"] == size:
+            raise ValueError(f"manifest shard {s['prefix']} has impossible counts")
+    return shards
 
 
 def _write_manifest(path: str, config: CensusConfig, shards: list[dict]) -> None:
@@ -378,25 +375,33 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
            threads: int = 1, shard_prefix_bits: int | None = None,
            manifest_path: str | None = None) -> CensusReport:
     """Exact H-free / certifiable counts; see module docstring for modes."""
-    if shard_prefix_bits is None:
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
+    if mode == "unlabeled":
+        if manifest_path or shard_prefix_bits is not None:
+            raise ValueError("unlabeled census takes no manifest and no shard count")
+        shard_prefix_bits = 0
+    elif shard_prefix_bits is None:
         # fixed default so reports are byte-identical for any thread count
         shard_prefix_bits = min(6, n * (n - 1) // 2)
     config = CensusConfig(n=n, forbidden_g6=emit_graph6(forbidden),
                           theorem=theorem, mode=mode,
-                          shard_prefix_bits=shard_prefix_bits if mode == "labeled" else 0)
+                          shard_prefix_bits=shard_prefix_bits)
     if mode == "unlabeled":
-        return _census_unlabeled(config)
+        total, hfree, certifiable = _fold(
+            config, ((g, orbit_size(g)) for g in _unlabeled_classes(n)))
+        return CensusReport(config=config, total=total, hfree=hfree,
+                            certifiable=certifiable)
 
     done: dict[int, dict] = {}
     if manifest_path and os.path.exists(manifest_path):
-        for s in _load_manifest(manifest_path, config):
-            if s.get("done"):
-                done[s["prefix"]] = s
-    prefixes = [p for p in range(1 << config.shard_prefix_bits) if p not in done]
-    tasks = [(config, p) for p in prefixes]
+        done = {s["prefix"]: s for s in _load_manifest(manifest_path, config)
+                if s["done"]}
+    tasks = [(config, p) for p in range(1 << config.shard_prefix_bits)
+             if p not in done]
     if threads > 1 and len(tasks) > 1:
         with multiprocessing.Pool(threads) as pool:
-            fresh = pool.map(_count_shard_star, tasks)
+            fresh = pool.starmap(_count_shard, tasks)
     else:
         fresh = [_count_shard(*t) for t in tasks]
     shards = list(done.values()) + fresh

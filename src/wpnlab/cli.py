@@ -62,19 +62,18 @@ def _read_graph(text: str) -> Graph:
     return parse_graph6(text)
 
 
-def _emit(args, payload: dict, text_lines: list[str]) -> None:
-    out = sys.stdout
-    if getattr(args, "output", None):
-        out = open(args.output, "w", encoding="utf-8")
-    try:
-        if args.format == "json":
-            out.write(canonical_json(payload) + "\n")
-        else:
-            for line in text_lines:
-                out.write(line + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+def _emit(args, payload: dict, lines: list[str]) -> None:
+    """The one writer of reports: the canonical JSON payload for --format
+    json, else the text or CSV lines; to --output if given, else stdout."""
+    if args.format == "json":
+        text = canonical_json(payload) + "\n"
+    else:
+        text = "".join(line + "\n" for line in lines)
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
 
 
 def _envelope(command: str, config: dict, data: dict) -> dict:
@@ -216,23 +215,28 @@ def _cmd_sample_partitions(args) -> int:
         rows.append((st.blocks, st.nonsingleton_blocks, heavy))
     config = {"command": "sample-partitions", "n": args.n,
               "samples": args.samples, "seed": args.seed}
-    if args.format == "csv" or (args.stats and args.format == "text"):
-        lines = ["blocks,nonsingletons,heavy_vertices"]
-        lines += [f"{b},{ns},{h}" for b, ns, h in rows]
-        out = sys.stdout
-        if args.output:
-            out = open(args.output, "w", encoding="utf-8")
-        try:
-            out.write("\n".join(lines) + "\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return EXIT_OK
     data = {"samples": [{"blocks": b, "nonsingletons": ns, "heavy_vertices": h}
                         for b, ns, h in rows]}
-    _emit(args, _envelope("sample-partitions", config, data),
-          [f"{b},{ns},{h}" for b, ns, h in rows])
+    lines = [f"{b},{ns},{h}" for b, ns, h in rows]
+    if args.format == "csv":
+        lines.insert(0, "blocks,nonsingletons,heavy_vertices")
+    _emit(args, _envelope("sample-partitions", config, data), lines)
     return EXIT_OK
+
+
+def _census_threads(args) -> int:
+    """--threads, else WPNLAB_THREADS, else 1; a count below 1 is an error."""
+    if args.threads is not None:
+        source, value = "--threads", args.threads
+    else:
+        source, value = "WPNLAB_THREADS", os.environ.get("WPNLAB_THREADS") or "1"
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return threads
 
 
 def _cmd_census(args) -> int:
@@ -243,29 +247,21 @@ def _cmd_census(args) -> int:
             raise ValueError("--shards must be a power of two")
         shard_bits = args.shards.bit_length() - 1
     report = census(args.n, forb, args.theorem, mode=args.mode,
-                    threads=args.threads, shard_prefix_bits=shard_bits,
+                    threads=_census_threads(args), shard_prefix_bits=shard_bits,
                     manifest_path=args.resume)
     d = report.to_dict()
     payload = {"command": "census", "version": __version__, **d}
-    frac = d["certifiable_fraction"]
-    lines = [
-        f"n={args.n} forbidden={d['config']['forbidden']} theorem={args.theorem}",
-        f"total={d['total']} hfree={d['hfree']} certifiable={d['certifiable']}",
-        f"certifiable_fraction={frac['exact']} ({frac['decimal']})",
-    ]
     if args.format == "csv":
-        out_lines = ["prefix,total,hfree,certifiable"]
-        out_lines += [f"{s['prefix']},{s['total']},{s['hfree']},{s['certifiable']}"
-                      for s in d["shards"]]
-        out = sys.stdout
-        if args.output:
-            out = open(args.output, "w", encoding="utf-8")
-        try:
-            out.write("\n".join(out_lines) + "\n")
-        finally:
-            if out is not sys.stdout:
-                out.close()
-        return EXIT_OK
+        lines = ["prefix,total,hfree,certifiable"]
+        lines += [f"{s['prefix']},{s['total']},{s['hfree']},{s['certifiable']}"
+                  for s in d["shards"]]
+    else:
+        frac = d["certifiable_fraction"]
+        lines = [
+            f"n={args.n} forbidden={d['config']['forbidden']} theorem={args.theorem}",
+            f"total={d['total']} hfree={d['hfree']} certifiable={d['certifiable']}",
+            f"certifiable_fraction={frac['exact']} ({frac['decimal']})",
+        ]
     _emit(args, payload, lines)
     return EXIT_OK
 
@@ -283,16 +279,6 @@ def _cmd_girth5(args) -> int:
 # -- parser --------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    env = os.environ.get("WPNLAB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ValueError(f"WPNLAB_THREADS must be an integer, got {env!r}") from None
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wpn-lab",
@@ -305,7 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "csv", "text"),
                        default="text")
         p.add_argument("--output", default=None, help="write report to a file")
-        p.add_argument("--threads", type=int, default=_default_threads())
 
     p = sub.add_parser("wpn", help="witnessing partition number of a graph")
     p.add_argument("graph", help="graph6 string, adjacency text, or file")
@@ -350,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--stats", action="store_true")
     common(p)
     p.set_defaults(handler=_cmd_sample_partitions)
 
@@ -363,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None,
                    help="shard count, a power of two")
     p.add_argument("--resume", default=None, help="manifest path")
+    p.add_argument("--threads", type=int, default=None,
+                   help="worker processes (default: WPNLAB_THREADS, else 1)")
     common(p)
     p.set_defaults(handler=_cmd_census)
 
@@ -378,7 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        # the parser reads WPNLAB_THREADS for its defaults
         args = build_parser().parse_args(argv)
         return args.handler(args)
     except BudgetExhausted as exc:

@@ -1,5 +1,6 @@
 import json
 import math
+import types
 from decimal import getcontext, localcontext
 
 import pytest
@@ -95,17 +96,66 @@ def test_census_report_leaves_decimal_context_alone():
 
 
 def test_census_modes_agree():
-    for n in range(3, 7):
-        lab = census(n, cycle(6), "c6", mode="labeled")
-        unl = census(n, cycle(6), "c6", mode="unlabeled")
+    # c6 takes the c6_certifiable fast path, c8 and c10 the generic search
+    cases = [(n, 6) for n in range(3, 7)] + \
+        [(n, m) for m in (8, 10) for n in range(3, 6)]
+    for n, m in cases:
+        lab = census(n, cycle(m), f"c{m}", mode="labeled")
+        unl = census(n, cycle(m), f"c{m}", mode="unlabeled")
         assert (lab.total, lab.hfree, lab.certifiable) == \
-            (unl.total, unl.hfree, unl.certifiable), n
+            (unl.total, unl.hfree, unl.certifiable), (n, m)
 
 
 def test_census_threads_do_not_change_counts():
     one = census(6, cycle(6), "c6", threads=1)
     four = census(6, cycle(6), "c6", threads=4)
     assert one.to_dict() == four.to_dict()
+
+
+def test_soundness_crosscheck_cadence(monkeypatch):
+    import wpnlab.census as c
+
+    calls = []
+    real = c.contains_induced
+    monkeypatch.setattr(c, "contains_induced",
+                        lambda g, h: calls.append(g) or real(g, h))
+    # n <= 6: every certifiable graph, labeled or class representative
+    census(4, cycle(6), "c6")
+    assert len(calls) == 1 << 6
+    calls.clear()
+    census(5, cycle(6), "c6", mode="unlabeled")
+    assert len(calls) == len(_unlabeled_classes(5))
+    calls.clear()
+    # n = 7: every 1024th certifiable class visited, counted without weights
+    census(7, cycle(8), "c8", mode="unlabeled")
+    k = sum(1 for g in _unlabeled_classes(7)
+            if find_certificate(g, theorem_sequence("c8")) is not None)
+    assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
+
+
+def test_census_rejects_nonpositive_threads():
+    for threads in (0, -3):
+        with pytest.raises(ValueError):
+            census(4, cycle(6), "c6", threads=threads)
+
+
+def test_unlabeled_census_rejects_manifest_and_shards(tmp_path):
+    path = tmp_path / "manifest.json"
+    with pytest.raises(ValueError):
+        census(5, cycle(6), "c6", mode="unlabeled", manifest_path=str(path))
+    with pytest.raises(ValueError):
+        census(5, cycle(6), "c6", mode="unlabeled", shard_prefix_bits=2)
+    assert not path.exists()
+    assert census(5, cycle(6), "c6", mode="unlabeled", threads=2).total == 1024
+
+
+def test_census_submodule_is_not_shadowed():
+    import wpnlab
+    import wpnlab.census as c
+
+    assert isinstance(c, types.ModuleType)
+    assert wpnlab.census is c
+    assert c.CensusConfig is CensusConfig and c.census is census
 
 
 def test_census_rejects_mismatched_theorem():

@@ -155,11 +155,20 @@ def test_girth5_census_json(capsys):
     _validate(payload, "girth5-census.schema.json")
 
 
-def test_output_file(tmp_path, capsys):
-    out = tmp_path / "report.json"
-    code = main(["wpn", C6, "--format", "json", "--output", str(out)])
-    assert code == 0
-    assert json.loads(out.read_text())["wpn"] == 2
+@pytest.mark.parametrize("argv", [
+    ["wpn", C6, "--format", "json"],
+    *(["census", "--n", "4", "--forbid", C6, "--theorem", "c6", "--format", f]
+      for f in ("json", "csv", "text")),
+    *(["sample-partitions", "--n", "8", "--samples", "3", "--seed", "5",
+       "--format", f] for f in ("json", "csv", "text")),
+], ids=lambda argv: f"{argv[0]}-{argv[-1]}")
+def test_output_file(tmp_path, capsys, argv):
+    assert main(argv) == 0
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == stdout.encode()
 
 
 def test_precondition_exit_codes(capsys):
@@ -172,15 +181,111 @@ def test_precondition_exit_codes(capsys):
     assert main(["verify-claims", "--cycle", "7"]) == 2
 
 
+CENSUS_N5 = ["census", "--n", "5", "--forbid", C6, "--theorem", "c6"]
+
+
 def test_threads_env_default(monkeypatch, capsys):
+    assert main(CENSUS_N5 + ["--threads", "1"]) == 0
+    serial = capsys.readouterr().out
     monkeypatch.setenv("WPNLAB_THREADS", "2")
-    assert main(["wpn", C6]) == 0
-    assert capsys.readouterr().out.strip() == "2"
+    assert main(CENSUS_N5) == 0
+    assert capsys.readouterr().out == serial
 
 
 def test_threads_env_invalid_exits_2(monkeypatch, capsys):
     monkeypatch.setenv("WPNLAB_THREADS", "abc")
-    assert main(["wpn", C6]) == 2
+    assert main(CENSUS_N5) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("wpn-lab: WPNLAB_THREADS")
+
+
+@pytest.mark.parametrize("flag, env", [
+    ("0", None), ("-3", None), (None, "-5"), (None, "0")])
+def test_nonpositive_thread_counts_exit_2(monkeypatch, capsys, flag, env):
+    if env is not None:
+        monkeypatch.setenv("WPNLAB_THREADS", env)
+    argv = CENSUS_N5 + (["--threads", flag] if flag is not None else [])
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    source = "--threads" if flag is not None else "WPNLAB_THREADS"
+    assert captured.err.startswith(f"wpn-lab: {source} must be a positive integer")
+
+
+def test_dropped_options_are_rejected(monkeypatch, capsys):
+    monkeypatch.setenv("WPNLAB_THREADS", "abc")
+    assert main(["wpn", C6]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    with pytest.raises(SystemExit) as exc:
+        main(["wpn", C6, "--threads", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["sample-partitions", "--n", "5", "--seed", "1", "--stats"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("extra", [["--resume", "m.json"], ["--shards", "4"]])
+def test_unlabeled_census_rejects_flags_it_ignores(tmp_path, monkeypatch,
+                                                   capsys, extra):
+    monkeypatch.chdir(tmp_path)
+    unlabeled = CENSUS_N5 + ["--mode", "unlabeled"]
+    assert main(unlabeled + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("wpn-lab: unlabeled")
+    assert not (tmp_path / "m.json").exists()
+    assert main(unlabeled + ["--threads", "1"]) == 0
+
+
+def _shards_n5(tmp_path, capsys):
+    path = tmp_path / "m.json"
+    assert main(CENSUS_N5 + ["--shards", "4", "--resume", str(path)]) == 0
+    capsys.readouterr()
+    return path, json.loads(path.read_text())
+
+
+# one manifest per load-time rule; n = 5 with 4 shards of 2^8 masks each
+_BAD_MANIFESTS = {
+    "not-an-object": lambda m: [m],
+    "no-shards": lambda m: {"config_hash": m["config_hash"]},
+    "shards-not-a-list": lambda m: dict(m, shards={}),
+    "missing-key": lambda m: _edit(m, 0, hfree=None),
+    "string-count": lambda m: _edit(m, 0, total="256"),
+    "bool-prefix": lambda m: _edit(m, 1, prefix=True),
+    "int-done": lambda m: _edit(m, 0, done=1),
+    "prefix-too-large": lambda m: _edit(m, 0, prefix=999),
+    "prefix-negative": lambda m: _edit(m, 0, prefix=-1),
+    "prefix-repeats": lambda m: _edit(m, 1, prefix=0),
+    "certifiable-above-hfree": lambda m: _edit(m, 0, certifiable=257, hfree=256),
+    "hfree-above-total": lambda m: _edit(m, 0, hfree=257),
+    "total-not-shard-size": lambda m: _edit(m, 0, total=255, hfree=255,
+                                            certifiable=255),
+    "negative-certifiable": lambda m: _edit(m, 0, certifiable=-1),
+}
+
+
+def _edit(manifest, i, **changes):
+    shard = {k: v for k, v in {**manifest["shards"][i], **changes}.items()
+             if v is not None}
+    shards = list(manifest["shards"])
+    shards[i] = shard
+    return dict(manifest, shards=shards)
+
+
+@pytest.mark.parametrize("rule", sorted(_BAD_MANIFESTS))
+def test_bad_manifest_exits_2(tmp_path, capsys, rule):
+    path, manifest = _shards_n5(tmp_path, capsys)
+    path.write_text(json.dumps(_BAD_MANIFESTS[rule](manifest)))
+    assert main(CENSUS_N5 + ["--shards", "4", "--resume", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("wpn-lab: manifest")
+
+
+def test_manifest_with_undone_shard_resumes(tmp_path, capsys):
+    path, manifest = _shards_n5(tmp_path, capsys)
+    assert main(CENSUS_N5 + ["--shards", "4", "--format", "json"]) == 0
+    whole = capsys.readouterr().out
+    path.write_text(json.dumps(_edit(manifest, 2, done=False, total=0)))
+    assert main(CENSUS_N5 + ["--shards", "4", "--resume", str(path),
+                             "--format", "json"]) == 0
+    assert capsys.readouterr().out == whole
