@@ -364,7 +364,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # argparse: 2 for bad usage, 0 for --help
+            return exc.code
         return args.handler(args)
     except BudgetExhausted as exc:
         print(f"wpn-lab: {exc}", file=sys.stderr)

@@ -14,6 +14,9 @@ from functools import lru_cache
 
 from .graphs import (
     Graph,
+    _canon_search,
+    _canonical_copy,
+    _orbits,
     bits,
     canonical_form,
     canonical_key,
@@ -242,22 +245,65 @@ def member(f: FamilySpec, g: Graph) -> bool:
 # -- forbidden bases ---------------------------------------------------------
 
 
+def _subset_orbit_reps(m: int, gens) -> list[int]:
+    """The least vertex mask of each orbit of subsets of {0..m-1} under the
+    group the vertex permutations ``gens`` generate."""
+    images = []
+    for gamma in gens:
+        image = [0] * (1 << m)
+        for s in range(1, 1 << m):
+            low = s & -s
+            image[s] = image[s ^ low] | 1 << gamma[low.bit_length() - 1]
+        images.append(image)
+    return [s for s, least in enumerate(_orbits(1 << m, images)) if least == s]
+
+
 @lru_cache(maxsize=None)
 def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
-    """One canonical representative per isomorphism class, n = 0..nmax."""
-    levels: list[list[Graph]] = [[Graph(0, ())]]
+    """One canonical representative per isomorphism class, n = 0..nmax,
+    each level sorted by canonical rows.
+
+    Classes are generated by canonical augmentation (McKay, *Isomorph-free
+    exhaustive generation*, J. Algorithms 26, 1998).  A class on n vertices
+    is built from the representative P of a class on n - 1 by joining a new
+    vertex n - 1 to one vertex set from each Aut(P)-orbit.  The extension G
+    is kept only when the new vertex lies in the Aut(G)-orbit of G's
+    canonical deletion vertex: among the vertices with the largest
+    (degree, sorted neighbour degrees), the one with the least canonical
+    label.  So each class is built exactly once, from the class of G minus
+    that vertex, and no table of classes seen is needed.  An extension
+    whose new vertex lacks the largest invariant is dropped before any
+    canonical search.  The search result of each kept class is carried to
+    its representative, so that ``automorphism_count`` never searches it.
+    """
+    levels = [[_canonical_copy(_canon_search(Graph(0, ())))]]
     for n in range(1, nmax + 1):
-        seen: dict = {}
-        for g in levels[n - 1]:
-            for nb in range(1 << (n - 1)):
-                rows = tuple(g.adj[i] | ((nb >> i & 1) << (n - 1))
-                             for i in range(n - 1)) + (nb,)
-                cand = Graph(n, rows)
-                key = canonical_key(cand)
-                if key not in seen:
-                    seen[key] = canonical_form(cand)
-        levels.append([seen[k] for k in sorted(seen)])
-    return tuple(g for level in levels for g in level)
+        kept = []
+        for p, pc in levels[-1]:
+            pdeg = p.degrees()
+            for nb in _subset_orbit_reps(n - 1, pc.gens):
+                deg = [d + (nb >> i & 1) for i, d in enumerate(pdeg)]
+                deg.append(nb.bit_count())
+                if deg[-1] < max(deg):
+                    continue
+                rows = tuple(row | (nb >> i & 1) << (n - 1)
+                             for i, row in enumerate(p.adj)) + (nb,)
+                inv = [(deg[v], sorted(deg[u] for u in bits(rows[v])))
+                       for v in range(n)]
+                top = max(inv)
+                if inv[-1] != top:
+                    continue
+                c = _canon_search(Graph(n, rows))
+                u = min((v for v in range(n) if inv[v] == top),
+                        key=c.lab.__getitem__)
+                if u != n - 1:
+                    orbit = _orbits(n, c.gens)
+                    if orbit[u] != orbit[n - 1]:
+                        continue
+                kept.append(c)
+        kept.sort(key=lambda c: c.rows)
+        levels.append([_canonical_copy(c) for c in kept])
+    return tuple(g for level in levels for g, _ in level)
 
 
 @lru_cache(maxsize=None)

@@ -3,15 +3,15 @@
 Everything downstream (family recognizers, witnessing-partition search, the
 census) works on these immutable graphs.  Vertex sets are plain Python ints
 used as bitmasks, so all set operations are single machine-word ops for the
-graph sizes we care about (census n <= 10, cycles up to C14).
+graph sizes we care about (census n <= 9, cycles up to C14).
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
 
@@ -260,20 +260,86 @@ def _encode(g: Graph, colors: list[int]) -> tuple[int, ...]:
     return tuple(rows)
 
 
-def _canon_search(g: Graph) -> tuple[tuple[int, ...], int]:
-    """Canonical adjacency rows and |Aut(g)|."""
+class Canon(NamedTuple):
+    """What the canonical search learns about one labelled graph."""
+
+    rows: tuple[int, ...]               # adjacency rows of the canonical form
+    aut: int                            # |Aut(g)|
+    gens: tuple[tuple[int, ...], ...]   # generators of Aut(g): v goes to gen[v]
+    lab: tuple[int, ...]                # canonical labelling: v becomes lab[v]
+
+
+# The identity labelling of each vertex count, shared by every cached
+# canonical form.
+_IDENTITY = tuple(tuple(range(n)) for n in range(MAX_VERTICES + 1))
+
+
+def _orbits(n: int, gens) -> list[int]:
+    """Least point of each point's orbit under the group that the
+    permutations ``gens`` of range(n) generate."""
+    root = list(range(n))
+
+    def find(v: int) -> int:
+        while root[v] != v:
+            root[v] = root[root[v]]
+            v = root[v]
+        return v
+
+    for gamma in gens:
+        for v in range(n):
+            a, b = find(v), find(gamma[v])
+            if a != b:
+                root[max(a, b)] = min(a, b)
+    return [find(v) for v in range(n)]
+
+
+def _fixing(gens, path) -> list[tuple[int, ...]]:
+    return [gamma for gamma in gens if all(gamma[v] == v for v in path)]
+
+
+def _canon_search(g: Graph) -> Canon:
+    """Canonical rows, |Aut(g)|, generators of Aut(g) and a canonical
+    labelling, by individualisation and refinement with automorphism
+    pruning (McKay & Piperno, *Practical graph isomorphism II*, J. Symbolic
+    Comput. 60, 2014).
+
+    A node of the search tree is an equitable colouring from ``_refine``;
+    its children individualise, in vertex order, each vertex of its first
+    non-singleton colour cell.  The canonical rows are the least ``_encode``
+    over the leaves.  A leaf whose encoding equals the first leaf's or the
+    current best one's gives an automorphism, and the search returns to the
+    node where the two leaves' paths part.  A child is skipped when an
+    automorphism found so far that fixes the node's path maps it to a
+    sibling already searched.  Either way the skipped subtree is the image
+    of a searched one under an automorphism, so it holds no smaller leaf.
+    By orbit-stabiliser, |Aut| is the product along the first path of the
+    orbit size of each level's first child under the automorphisms found
+    that fix the path above it.
+    """
     n = g.n
-    if n == 0:
-        return (), 1
+    ident = _IDENTITY[n]
     e = g.edge_count()
-    if e == 0 or e == n * (n - 1) // 2:
-        return g.adj, math.factorial(n)
+    if n <= 1 or e == 0 or e == n * (n - 1) // 2:
+        gens = ()
+        if n >= 2:  # Aut is S_n, generated by a swap and an n-cycle
+            gens = ((1, 0) + ident[2:], ident[1:] + (0,))[:n - 1]
+        return Canon(g.adj, math.factorial(n), gens, ident)
 
-    best: list[tuple[int, ...] | None] = [None]
-    achievers: set[tuple[int, ...]] = set()
+    gens: list[tuple[int, ...]] = []
+    path: list[int] = []
+    first = best = None   # (encoding, leaf colouring, path) of a leaf
 
-    def rec(colors: list[int]) -> None:
+    def parting(other: list[int]) -> int:
+        d = 0
+        while path[d] == other[d]:
+            d += 1
+        return d
+
+    def rec(colors: list[int]) -> int:
+        """Search below the node; return the depth to resume at."""
+        nonlocal first, best
         colors = _refine(g, colors)
+        depth = len(path)
         cell_of: dict[int, list[int]] = {}
         for v, c in enumerate(colors):
             cell_of.setdefault(c, []).append(v)
@@ -284,41 +350,98 @@ def _canon_search(g: Graph) -> tuple[tuple[int, ...], int]:
                 break
         if target is None:
             enc = _encode(g, colors)
-            if best[0] is None or enc < best[0]:
-                best[0] = enc
-                achievers.clear()
-                achievers.add(tuple(colors))
-            elif enc == best[0]:
-                achievers.add(tuple(colors))
-            return
+            if first is None:
+                first = best = (enc, colors, path[:])
+                return depth
+            for ref_enc, ref_colors, ref_path in (first, best):
+                if enc == ref_enc:
+                    at = [0] * n
+                    for v, c in enumerate(colors):
+                        at[c] = v
+                    gens.append(tuple(at[c] for c in ref_colors))
+                    return parting(ref_path)
+            if enc < best[0]:
+                best = (enc, colors, path[:])
+            return depth
+        searched: list[int] = []
+        orbit, known = ident, 0
         for v in target:
+            if searched:
+                if known != len(gens):
+                    orbit, known = _orbits(n, _fixing(gens, path)), len(gens)
+                if any(orbit[v] == orbit[w] for w in searched):
+                    continue
+            searched.append(v)
             child = [2 * c for c in colors]
             child[v] -= 1
-            rec(child)
+            path.append(v)
+            back = rec(child)
+            path.pop()
+            if back < depth:
+                return back
+        return depth
 
     rec([0] * n)
-    assert best[0] is not None
-    return best[0], len(achievers)
+    first_path = first[2]
+    aut = 1
+    for k, v in enumerate(first_path):
+        orbit = _orbits(n, _fixing(gens, first_path[:k]))
+        aut *= orbit.count(orbit[v])
+    return Canon(best[0], aut, tuple(gens), tuple(best[1]))
 
 
-@lru_cache(maxsize=200000)
-def _canon_cached(n: int, adj: tuple[int, ...]) -> tuple[tuple[int, ...], int]:
-    return _canon_search(Graph(n, adj))
+def _canonical_copy(c: Canon) -> tuple[Graph, Canon]:
+    """The canonical form that ``c`` describes, with a search result of its
+    own: the same rows and |Aut|, the generators carried over by the
+    labelling, and the identity as its labelling.  That result is cached,
+    so the form is never searched."""
+    n = len(c.rows)
+    gens = []
+    for gamma in c.gens:
+        image = [0] * n
+        for v, u in enumerate(gamma):
+            image[c.lab[v]] = c.lab[u]
+        gens.append(tuple(image))
+    form = Graph(n, c.rows)
+    own = Canon(c.rows, c.aut, tuple(gens), _IDENTITY[n])
+    _remember((n, c.rows), own)
+    return form, own
+
+
+# Large enough to hold every class up to census.MAX_UNLABELED_N (288267
+# classes at n <= 9), so that a census never searches a class twice.
+_CANON_CACHE_SIZE = 1 << 19
+_canon_cache: OrderedDict[tuple[int, tuple[int, ...]], Canon] = OrderedDict()
+
+
+def _remember(key: tuple[int, tuple[int, ...]], c: Canon) -> None:
+    _canon_cache[key] = c
+    if len(_canon_cache) > _CANON_CACHE_SIZE:
+        _canon_cache.popitem(last=False)
+
+
+def _canon_cached(n: int, adj: tuple[int, ...]) -> Canon:
+    """``_canon_search`` through a least-recently-used cache."""
+    key = (n, adj)
+    c = _canon_cache.get(key)
+    if c is None:
+        c = _canon_search(Graph(n, adj))
+        _remember(key, c)
+    else:
+        _canon_cache.move_to_end(key)
+    return c
 
 
 def canonical_form(g: Graph) -> Graph:
-    rows, _ = _canon_cached(g.n, g.adj)
-    return Graph(g.n, rows)
+    return Graph(g.n, _canon_cached(g.n, g.adj).rows)
 
 
 def canonical_key(g: Graph) -> tuple[int, tuple[int, ...]]:
-    rows, _ = _canon_cached(g.n, g.adj)
-    return (g.n, rows)
+    return (g.n, _canon_cached(g.n, g.adj).rows)
 
 
 def automorphism_count(g: Graph) -> int:
-    _, aut = _canon_cached(g.n, g.adj)
-    return aut
+    return _canon_cached(g.n, g.adj).aut
 
 
 # -- graph6 ------------------------------------------------------------------

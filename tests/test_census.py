@@ -5,7 +5,9 @@ from decimal import getcontext, localcontext
 
 import pytest
 
+from wpnlab import graphs
 from wpnlab.census import (
+    MAX_UNLABELED_N,
     CensusConfig,
     ConfigMismatch,
     c6_certifiable,
@@ -22,7 +24,13 @@ from wpnlab.census import (
     _unlabeled_classes,
     _write_manifest,
 )
-from wpnlab.graphs import clique, contains_induced, cycle, emit_graph6
+from wpnlab.graphs import (
+    _CANON_CACHE_SIZE,
+    clique,
+    contains_induced,
+    cycle,
+    emit_graph6,
+)
 from wpnlab.witnessing import find_certificate, theorem_sequence
 
 
@@ -35,15 +43,34 @@ def test_enumerate_labeled_counts():
         census(9, cycle(6), "c6", mode="labeled")
 
 
+# graphs on n unlabeled vertices: OEIS A000088
+CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
+
+
 def test_unlabeled_class_counts():
-    # graphs on n unlabeled vertices: OEIS A000088
-    expected = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-    for n, k in expected.items():
-        assert len(_unlabeled_classes(n)) == k
+    for n in range(1, 9):
+        assert len(_unlabeled_classes(n)) == CLASS_COUNTS[n]
+
+
+def test_unlabeled_cap_fits_the_canonical_cache():
+    assert MAX_UNLABELED_N == 9
+    assert sum(CLASS_COUNTS[:MAX_UNLABELED_N + 1]) <= _CANON_CACHE_SIZE
+    with pytest.raises(ValueError, match="unlabeled census supports"):
+        census(MAX_UNLABELED_N + 1, cycle(6), "c6", mode="unlabeled")
+
+
+def test_class_representatives_are_never_searched(monkeypatch):
+    classes = _unlabeled_classes(7)
+
+    def no_search(g):
+        raise AssertionError(f"searched {emit_graph6(g)}")
+
+    monkeypatch.setattr(graphs, "_canon_search", no_search)
+    assert sum(orbit_size(g) for g in classes) == 1 << 21
 
 
 def test_orbit_sizes_sum_to_labeled_count():
-    for n in range(1, 7):
+    for n in range(1, 9):
         assert sum(orbit_size(g) for g in _unlabeled_classes(n)) == \
             1 << (n * (n - 1) // 2)
     assert orbit_size(clique(5)) == 1

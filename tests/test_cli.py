@@ -5,6 +5,7 @@ import jsonschema
 import pytest
 from referencing import Registry, Resource
 
+from wpnlab.census import MAX_UNLABELED_N
 from wpnlab.cli import main
 from wpnlab.graphs import cycle, emit_graph6
 
@@ -217,12 +218,22 @@ def test_dropped_options_are_rejected(monkeypatch, capsys):
     monkeypatch.setenv("WPNLAB_THREADS", "abc")
     assert main(["wpn", C6]) == 0
     assert capsys.readouterr().out.strip() == "2"
-    with pytest.raises(SystemExit) as exc:
-        main(["wpn", C6, "--threads", "2"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["sample-partitions", "--n", "5", "--seed", "1", "--stats"])
-    assert exc.value.code == 2
+    assert main(["wpn", C6, "--threads", "2"]) == 2
+    assert main(["sample-partitions", "--n", "5", "--seed", "1", "--stats"]) == 2
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    assert main(["--help"]) == 0
+    assert "wpn-lab" in capsys.readouterr().out
+    assert main(["census", "--n", "5"]) == 2
+    assert main(["no-such-command"]) == 2
+
+
+def test_unlabeled_census_past_the_cap_exits_2(capsys):
+    argv = ["census", "--n", str(MAX_UNLABELED_N + 1), "--forbid", C6,
+            "--theorem", "c6", "--mode", "unlabeled"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("wpn-lab: unlabeled census")
 
 
 @pytest.mark.parametrize("extra", [["--resume", "m.json"], ["--shards", "4"]])

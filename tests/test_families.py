@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -78,6 +79,29 @@ def test_membership_spot_checks():
                       clique(3).disjoint_union(clique(2)))
     assert member(FamilySpec.named("clique-or-e2"), empty(2))
     assert not member(FamilySpec.named("clique-or-e2"), empty(3))
+
+
+def test_class_generation_is_pinned():
+    """The graph6 list of every class up to n = 7, in order."""
+    text = "\n".join(emit_graph6(g) for g in _unlabeled_up_to(7))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "090dfd76c396dffa8a91f283c90b9745c57546d9d95588a9a9fd9a19e684a317"
+
+
+def test_representatives_are_pairwise_non_isomorphic():
+    import networkx as nx
+
+    buckets: dict = {}
+    for g in _unlabeled_up_to(6):
+        buckets.setdefault((g.n, tuple(sorted(g.degrees()))), []).append(g)
+    for same_degrees in buckets.values():
+        nxs = []
+        for g in same_degrees:
+            nxs.append(nx.empty_graph(g.n))
+            nxs[-1].add_edges_from(g.edges())
+        for i, a in enumerate(nxs):
+            for b in nxs[i + 1:]:
+                assert not nx.is_isomorphic(a, b)
 
 
 @pytest.mark.parametrize("name", [n for n in NAMED_FAMILIES

@@ -1,11 +1,18 @@
 import itertools
+import math
+import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wpnlab.families import _unlabeled_up_to
 from wpnlab.graphs import (
     Graph,
     Graph6Error,
+    _canon_search,
+    _encode,
+    _refine,
     automorphism_count,
     bits,
     canonical_form,
@@ -120,6 +127,78 @@ def test_automorphism_counts():
     assert automorphism_count(cycle(6)) == 12
     assert automorphism_count(path(4)) == 2
     assert automorphism_count(star(4)) == 24
+
+
+def _unpruned_canon_search(g):
+    """The canonical search without automorphism pruning: every leaf of the
+    individualisation-refinement tree is visited, and |Aut| is the number of
+    leaves with the least encoding.  Reference for the pruned search."""
+    n = g.n
+    if n == 0:
+        return (), 1
+    e = g.edge_count()
+    if e == 0 or e == n * (n - 1) // 2:
+        return g.adj, math.factorial(n)
+    best = [None]
+    achievers = set()
+
+    def rec(colors):
+        colors = _refine(g, colors)
+        cell_of = {}
+        for v, c in enumerate(colors):
+            cell_of.setdefault(c, []).append(v)
+        target = next((cell_of[c] for c in sorted(cell_of)
+                       if len(cell_of[c]) > 1), None)
+        if target is None:
+            enc = _encode(g, colors)
+            if best[0] is None or enc < best[0]:
+                best[0] = enc
+                achievers.clear()
+            if enc == best[0]:
+                achievers.add(tuple(colors))
+            return
+        for v in target:
+            child = [2 * c for c in colors]
+            child[v] -= 1
+            rec(child)
+
+    rec([0] * n)
+    return best[0], len(achievers)
+
+
+def test_pruned_search_matches_unpruned_reference():
+    rng = random.Random(20140601)
+    graphs = []
+    for g in _unlabeled_up_to(7):
+        for _ in range(2):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            graphs.append(g.relabel(tuple(perm)))
+    c12 = cycle(12)
+    graphs += [c12.induced(s) for s in range(1 << 12)]
+    for g in graphs:
+        c = _canon_search(g)
+        assert (c.rows, c.aut) == _unpruned_canon_search(g), emit_graph6(g)
+        assert g.relabel(c.lab).adj == c.rows
+        assert all(g.relabel(gamma).adj == g.adj for gamma in c.gens)
+
+
+def _complete_bipartite(a, b):
+    return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+
+
+def test_automorphism_count_on_symmetric_graphs():
+    start = time.process_time()
+    assert automorphism_count(_complete_bipartite(6, 6)) == 1036800
+    assert time.process_time() - start < 1.0
+    assert automorphism_count(_complete_bipartite(5, 5)) == 28800
+    k3 = clique(3)
+    assert automorphism_count(
+        k3.disjoint_union(k3).disjoint_union(k3).disjoint_union(k3)) == 31104
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)])
+    assert automorphism_count(petersen) == 120
 
 
 def test_canonical_form_idempotent():
