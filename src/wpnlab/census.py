@@ -28,7 +28,13 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from functools import lru_cache
 
-from .families import FamilySpec, girth, heavy_degree_check, s_statistic
+from .families import (
+    _is_cogirth5,
+    _unlabeled_level,
+    girth,
+    heavy_degree_check,
+    s_statistic,
+)
 from .graphs import (
     Graph,
     bits,
@@ -99,13 +105,10 @@ def enumerate_labeled(n: int, visitor) -> None:
         visitor(graph_from_edge_mask(n, mask))
 
 
-@lru_cache(maxsize=None)
 def _unlabeled_classes(n: int) -> tuple[Graph, ...]:
     if n > MAX_UNLABELED_N:
         raise ValueError(f"unlabeled enumeration capped at n = {MAX_UNLABELED_N}")
-    from .families import _unlabeled_up_to
-
-    return tuple(g for g in _unlabeled_up_to(n) if g.n == n)
+    return _unlabeled_level(n)
 
 
 def orbit_size(g: Graph) -> int:
@@ -182,34 +185,13 @@ def _maximal_stable_sets(g: Graph):
     yield from rec(0, full, 0)
 
 
-def is_cogirth5_mask(g: Graph, r: int) -> bool:
-    """No stable triple and no induced 2K2 within the vertex set r
-    (equivalently: the complement of g[r] has girth >= 5)."""
-    verts = list(bits(r))
-    edges = []
-    for a, u in enumerate(verts):
-        for v in verts[a + 1:]:
-            if g.adj[u] >> v & 1:
-                edges.append((u, v))
-            elif r & ~g.adj[u] & ~g.adj[v] & ~(1 << u) & ~(1 << v):
-                return False  # stable triple {u, v, w}
-    for a, (u, v) in enumerate(edges):
-        for (x, y) in edges[a + 1:]:
-            if x in (u, v) or y in (u, v):
-                continue
-            cross = (g.adj[u] | g.adj[v]) & ((1 << x) | (1 << y))
-            if not cross:
-                return False  # induced 2K2
-    return True
-
-
 def c6_certifiable(g: Graph) -> bool:
     """Partition into a co-girth-5 part and a stable part exists.
 
     By heredity of co-girth-5 it is enough to try maximal stable sets.
     """
     full = g.vertex_mask()
-    return any(is_cogirth5_mask(g, full ^ s) for s in _maximal_stable_sets(g))
+    return any(_is_cogirth5(g.adj, full ^ s) for s in _maximal_stable_sets(g))
 
 
 # -- census --------------------------------------------------------------------

@@ -48,18 +48,26 @@ EXIT_PRECONDITION = 2
 EXIT_BUDGET = 3
 
 
-def _read_graph(text: str) -> Graph:
-    """Graph input: a graph6 string, an adjacency-text string, or a file
-    holding either on its first nonblank line."""
-    if os.path.exists(text):
-        with open(text, "r", encoding="utf-8") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines:
-            raise ValueError(f"no graph found in {text}")
-        text = lines[0]
+def _parse_graph(text: str) -> Graph:
     if text.startswith("n="):
         return parse_adjacency_text(text)
     return parse_graph6(text)
+
+
+def _read_graph(text: str) -> Graph:
+    """Graph input: a graph6 string, an adjacency-text string, or else a
+    file holding either on its first nonblank line.  Text that parses as a
+    graph is never taken for a file name."""
+    try:
+        return _parse_graph(text)
+    except ValueError:
+        if not os.path.isfile(text):
+            raise
+    with open(text, "r", encoding="utf-8") as fh:
+        lines = [ln.strip() for ln in fh if ln.strip()]
+    if not lines:
+        raise ValueError(f"no graph found in {text}")
+    return _parse_graph(lines[0])
 
 
 def _emit(args, payload: dict, lines: list[str]) -> None:

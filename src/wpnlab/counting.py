@@ -1,14 +1,16 @@
 """Exact counting: Bell numbers, star/clique-complement family sizes,
-labeled cograph counts, the even-cycle lower bound, and an exactly uniform
-set-partition sampler.
+labeled cograph counts, the even-cycle lower bound, and a uniform
+set-partition sampler (exact up to an urn tail cut below 2^-100).
 
-All counts are exact big integers.  The one non-integer quantity (the
-lower bound's fractional power of two) is kept as an exact rational
-exponent and compared without floating point.
+All counts are exact big integers, built bottom-up and kept, so no count
+recurses.  The one non-integer quantity (the lower bound's fractional
+power of two) is kept as an exact rational exponent and compared without
+floating point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -16,23 +18,33 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator
 
+# The largest n each count accepts.  At its cap each takes 7-9 s of one
+# CPU (Python 3.11, 2-vCPU machine); the convolutions of f_star and the
+# cograph counts grow like n^4, the Bell triangle like n^3.
+MAX_BELL_N = 4000
+MAX_F_STAR_N = 1000
+MAX_COGRAPH_N = 800
 
-@lru_cache(maxsize=None)
-def _bell_triangle_row(n: int) -> tuple[int, ...]:
-    if n == 0:
-        return (1,)
-    prev = _bell_triangle_row(n - 1)
-    row = [prev[-1]]
-    for x in prev:
-        row.append(row[-1] + x)
-    return tuple(row)
+
+def _check_n(n: int, cap: int) -> None:
+    if not 0 <= n <= cap:
+        raise ValueError(f"n must be in [0, {cap}], got {n}")
+
+
+# The Bell numbers so far, and the last row of the Bell triangle, which
+# extends them.
+_bell_numbers = [1]
+_bell_row = [1]
 
 
 def bell(n: int) -> int:
     """The nth Bell number (partitions of an n-set)."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _bell_triangle_row(n)[0]
+    global _bell_row
+    _check_n(n, MAX_BELL_N)
+    while len(_bell_numbers) <= n:
+        _bell_row = list(itertools.accumulate(_bell_row, initial=_bell_row[-1]))
+        _bell_numbers.append(_bell_row[0])
+    return _bell_numbers[n]
 
 
 def iter_set_partitions(n: int) -> Iterator[tuple[tuple[int, ...], ...]]:
@@ -74,43 +86,39 @@ def component_count(i: int, s: int) -> int:
     raise ValueError("i must be 1, 2 or 3")
 
 
-@lru_cache(maxsize=None)
+_f_star_values: dict[int, list[int]] = {}
+
+
 def f_star(i: int, n: int) -> int:
     """|F*_i(n)|: labeled graphs on [n] whose complement components all
     have the family's shape; computed by the rooted-component convolution."""
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    if n == 0:
-        return 1
-    total = 0
-    for s in range(1, n + 1):
-        total += math.comb(n - 1, s - 1) * component_count(i, s) * f_star(i, n - s)
-    return total
+    _check_n(n, MAX_F_STAR_N)
+    f = _f_star_values.setdefault(i, [1])
+    for m in range(len(f), n + 1):
+        f.append(sum(math.comb(m - 1, s - 1) * component_count(i, s) * f[m - s]
+                     for s in range(1, m + 1)))
+    return f[n]
 
 
-@lru_cache(maxsize=None)
-def _cograph_counts(n: int) -> tuple[int, int]:
-    """(total, connected) labeled cographs on n vertices.
+# Labeled cographs on n vertices: all of them, and the connected ones.
+_cographs = [1, 1]
+_connected_cographs = [0, 1]
+
+
+def labeled_cograph_count(n: int) -> int:
+    """Labeled cographs on n vertices.
 
     By Seinsche's theorem exactly half the cographs on n >= 2 vertices are
     connected (complementation swaps connected and co-connected), so the
     usual component convolution closes the recurrence.
     """
-    if n == 0:
-        return (1, 0)
-    if n == 1:
-        return (1, 1)
-    partial = 0
-    for s in range(1, n):
-        partial += math.comb(n - 1, s - 1) * _cograph_counts(s)[1] * _cograph_counts(n - s)[0]
-    total = 2 * partial
-    return (total, total // 2)
-
-
-def labeled_cograph_count(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return _cograph_counts(n)[0]
+    _check_n(n, MAX_COGRAPH_N)
+    for m in range(len(_cographs), n + 1):
+        connected = sum(math.comb(m - 1, s - 1) * _connected_cographs[s]
+                        * _cographs[m - s] for s in range(1, m))
+        _connected_cographs.append(connected)
+        _cographs.append(2 * connected)
+    return _cographs[n]
 
 
 # -- the C_{2l} lower bound ----------------------------------------------------
@@ -227,37 +235,41 @@ def vertices_in_blocks_larger_than(p: SetPartition, t: int) -> int:
 @lru_cache(maxsize=32)
 def _urn_weight_table(n: int) -> tuple[tuple[int, ...], int]:
     """Cumulative integer weights for the urn count U with
-    P(U=u) proportional to u^n/u! (Dobinski), truncated once the remaining
-    tail is below 2^-100 of the accumulated mass."""
-    weights: list[Fraction] = []
-    u = 1
-    fact = 1
-    total = Fraction(0)
+    P(U=u) proportional to u^n/u! (Dobinski), truncated at the first u = T
+    where the weights fall and a geometric bound on the remaining tail is
+    below 2^-100 of the accumulated mass.
+
+    The weights are u^n * T!/u!, divided by their gcd.  So they are the
+    least integers in the ratios u^n/u!, and the cut-off test runs on the
+    same ratios scaled by u!: the accumulated mass S = sum_j j^n * u!/j!
+    and the weight ratio r = a/b = u^(n-1)/(u-1)^n give the test
+    tail = u^n * r/(1 - r) < S / 2^100.
+    """
+    powers = [1]   # u^n for u = 1, 2, ...
+    mass = 1       # S at the last u
     while True:
-        w = Fraction(u ** n, fact * u)  # u^n / u!
-        weights.append(w)
-        total += w
-        if u > 1 and w < weights[-2]:
-            ratio = w / weights[-2]
-            tail_bound = w * ratio / (1 - ratio)
-            if tail_bound < total * Fraction(1, 1 << 100):
-                break
-        fact *= u
-        u += 1
-    denom = math.lcm(*(w.denominator for w in weights))
-    ints = [int(w * denom) for w in weights]
-    cum = []
-    acc = 0
-    for x in ints:
-        acc += x
-        cum.append(acc)
-    return tuple(cum), acc
+        u = len(powers) + 1
+        powers.append(u ** n)
+        mass = u * mass + powers[-1]
+        a, b = powers[-1] // u, powers[-2]
+        if a < b and powers[-1] * a << 100 < mass * (b - a):
+            break
+    weights = []
+    scale = 1      # T!/u!
+    for u in range(len(powers), 0, -1):
+        weights.append(powers[u - 1] * scale)
+        scale *= u
+    weights.reverse()
+    g = math.gcd(*weights)
+    cum = tuple(itertools.accumulate(w // g for w in weights))
+    return cum, cum[-1]
 
 
 class UniformPartitionSampler:
-    """Exactly uniform random set partitions of an n-set (two-stage urn
-    method: draw the urn count, drop each element in a uniform urn, discard
-    empty urns)."""
+    """Uniform random set partitions of an n-set (two-stage urn method:
+    draw the urn count, drop each element in a uniform urn, discard empty
+    urns).  Exact but for the urn counts past the table's cut-off, whose
+    total probability is below 2^-100."""
 
     def __init__(self, n: int, seed: int):
         if not 1 <= n <= MAX_SAMPLER_N:

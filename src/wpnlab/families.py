@@ -1,9 +1,13 @@
 """Hereditary graph families: named recognizers and finite forbidden sets.
 
-Named families are recognized structurally (mostly by decomposing the
-complement into components and testing each component's shape), which keeps
-membership O(n^2)-ish.  Equivalence with the forbidden-induced-subgraph
-characterizations is established separately by brute force in the tests.
+Every family answers one question, ``member(f, g, mask)``: is the subgraph
+of g induced on the vertex mask in f?  A named family is decided by a
+structural recognizer (mostly by splitting the complement into components
+and testing each component's shape) that reads the rows of g inside the
+mask, so no subgraph is built.  A forbidden-set family asks
+``contains_induced`` within the mask.  Equivalence of each recognizer with
+its forbidden-induced-subgraph characterization is established separately
+by brute force in the tests.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .graphs import (
+    Canon,
     Graph,
     _canon_search,
     _canonical_copy,
@@ -20,29 +25,136 @@ from .graphs import (
     bits,
     canonical_form,
     canonical_key,
-    clique,
     contains_induced,
     emit_graph6,
+    mask_components,
     parse_graph6,
 )
 
-NAMED_FAMILIES = (
-    "clique",
-    "clique-or-e2",
-    "stable",
-    "co-girth-5",
-    "stars-triangles-co",
-    "stars-cliques-co",
-    "split-join-components-co",
-    "cograph",
-    "complete-multipartite",
-    "disjoint-cliques",
-    "co-matching",
-    "clique-union-stable",
-    "split",
-    "bipartite",
-    "co-bipartite",
-)
+# A recognizer takes adjacency rows ``adj`` and a vertex mask ``s`` and
+# decides the subgraph induced on s.  It reads only the rows of vertices
+# in s, and only their bits inside s.
+
+
+def _is_clique(adj, s: int) -> bool:
+    return all(adj[v] & s == s ^ 1 << v for v in bits(s))
+
+
+def _is_stable(adj, s: int) -> bool:
+    return all(not adj[v] & s for v in bits(s))
+
+
+def _complement(adj, s: int) -> list[int]:
+    """Rows of the complement of the subgraph induced on s (0 outside s)."""
+    co = [0] * len(adj)
+    for v in bits(s):
+        co[v] = s & ~adj[v] ^ 1 << v
+    return co
+
+
+def _is_star(adj, s: int) -> bool:
+    """K_{1,m} for m >= 0 (so K1 and K2 count as stars)."""
+    degs = sorted((adj[v] & s).bit_count() for v in bits(s))
+    m = len(degs)
+    return m > 0 and degs[-1] == m - 1 and degs[:-1] == [1] * (m - 1)
+
+
+def _is_clique_stable_join(adj, s: int) -> bool:
+    # Connected join of a clique and a stable set: the clique side is
+    # exactly the universal vertices, so the rest must be stable.
+    rest = 0
+    for v in bits(s):
+        if adj[v] & s != s ^ 1 << v:
+            rest |= 1 << v
+    return _is_stable(adj, rest)
+
+
+def _is_bipartite(adj, s: int) -> bool:
+    # Breadth-first layers from each component's least vertex: an odd
+    # cycle shows as an edge inside one layer.
+    while s:
+        seen = layer = s & -s
+        while layer:
+            reach = 0
+            for v in bits(layer):
+                if adj[v] & layer:
+                    return False
+                reach |= adj[v]
+            layer = reach & s & ~seen
+            seen |= layer
+        s ^= seen
+    return True
+
+
+def _is_split(adj, s: int) -> bool:
+    # Hammer-Simeone degree-sequence criterion.
+    d = sorted(((adj[v] & s).bit_count() for v in bits(s)), reverse=True)
+    m = max((i for i in range(1, len(d) + 1) if d[i - 1] >= i - 1), default=0)
+    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
+
+
+def _is_cograph(adj, s: int) -> bool:
+    if not s & s - 1:
+        return True
+    parts = mask_components(adj, s)
+    if len(parts) == 1:
+        parts = mask_components(_complement(adj, s), s)
+        if len(parts) == 1:
+            return False
+    return all(_is_cograph(adj, p) for p in parts)
+
+
+def _is_cogirth5(adj, s: int) -> bool:
+    """The complement has girth >= 5: no stable triple (a complement
+    triangle) and no induced 2K2 (a complement C4)."""
+    for u in bits(s):
+        for v in bits(s >> u + 1 << u + 1):
+            apart = s & ~(adj[u] | adj[v] | 1 << u | 1 << v)
+            if apart and (not adj[u] >> v & 1
+                          or any(adj[w] & apart for w in bits(apart))):
+                return False
+    return True
+
+
+def _is_clique_union_stable(adj, s: int) -> bool:
+    comps = mask_components(adj, s)
+    return (all(_is_clique(adj, c) for c in comps)
+            and sum(1 for c in comps if c & c - 1) <= 1)
+
+
+def _every_co_component(test):
+    """The recognizer of graphs whose complement components all pass
+    ``test`` (called with the complement's rows)."""
+    def recognize(adj, s: int) -> bool:
+        co = _complement(adj, s)
+        return all(test(co, c) for c in mask_components(co, s))
+    return recognize
+
+
+_RECOGNIZERS = {
+    "clique": _is_clique,
+    "clique-or-e2": lambda adj, s: _is_clique(adj, s) or (
+        s.bit_count() == 2 and _is_stable(adj, s)),
+    "stable": _is_stable,
+    "co-girth-5": _is_cogirth5,
+    "stars-triangles-co": _every_co_component(
+        lambda co, c: _is_star(co, c) or (c.bit_count() == 3 and _is_clique(co, c))),
+    "stars-cliques-co": _every_co_component(
+        lambda co, c: _is_star(co, c) or _is_clique(co, c)),
+    "split-join-components-co": _every_co_component(_is_clique_stable_join),
+    "cograph": _is_cograph,
+    "complete-multipartite": _every_co_component(_is_clique),
+    "disjoint-cliques": lambda adj, s: all(
+        _is_clique(adj, c) for c in mask_components(adj, s)),
+    "co-matching": lambda adj, s: all(
+        (s & ~adj[v]).bit_count() <= 2 for v in bits(s)),
+    "clique-union-stable": _is_clique_union_stable,
+    "split": _is_split,
+    "bipartite": _is_bipartite,
+    "co-bipartite": lambda adj, s: _is_bipartite(_complement(adj, s), s),
+}
+
+NAMED_FAMILIES = tuple(_RECOGNIZERS)
 
 # No finite forbidden-induced basis exists (all odd cycles / their
 # complements are minimal obstructions).
@@ -65,7 +177,7 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if (self.name is None) == (self.patterns is None):
             raise ValueError("exactly one of name/patterns must be given")
-        if self.name is not None and self.name not in NAMED_FAMILIES:
+        if self.name is not None and self.name not in _RECOGNIZERS:
             raise ValueError(f"unknown family name {self.name!r}")
 
     @staticmethod
@@ -88,80 +200,20 @@ class FamilySpec:
     @staticmethod
     def from_cli(text: str) -> "FamilySpec":
         """Family name, or comma-separated graph6 strings as a forbidden set."""
-        if text in NAMED_FAMILIES:
+        if text in _RECOGNIZERS:
             return FamilySpec.named(text)
         return FamilySpec.forbidden(parse_graph6(t) for t in text.split(","))
 
 
-# -- shape predicates --------------------------------------------------------
-
-
-def is_clique_graph(g: Graph) -> bool:
-    full = g.vertex_mask()
-    return all(row == full ^ (1 << i) for i, row in enumerate(g.adj))
-
-
-def is_stable_graph(g: Graph) -> bool:
-    return all(row == 0 for row in g.adj)
-
-
-def is_star_graph(g: Graph) -> bool:
-    """K_{1,m} for m >= 0 (so K1 and K2 count as stars)."""
-    if g.n <= 2:
-        return g.edge_count() == g.n - 1
-    degs = sorted(g.degrees())
-    return degs[-1] == g.n - 1 and degs[:-1] == [1] * (g.n - 1)
-
-
-def is_bipartite_graph(g: Graph) -> bool:
-    color = [-1] * g.n
-    for v in range(g.n):
-        if color[v] != -1:
-            continue
-        color[v] = 0
-        stack = [v]
-        while stack:
-            u = stack.pop()
-            for w in bits(g.adj[u]):
-                if color[w] == -1:
-                    color[w] = 1 - color[u]
-                    stack.append(w)
-                elif color[w] == color[u]:
-                    return False
-    return True
-
-
-def is_split_graph(g: Graph) -> bool:
-    # Hammer-Simeone degree-sequence criterion.
-    d = sorted(g.degrees(), reverse=True)
-    n = g.n
-    m = 0
-    for i in range(1, n + 1):
-        if d[i - 1] >= i - 1:
-            m = i
-    return sum(d[:m]) == m * (m - 1) + sum(d[m:])
-
-
-def is_cograph(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    comps = g.component_masks()
-    if len(comps) == 1:
-        co = g.complement()
-        comps = co.component_masks()
-        if len(comps) == 1:
-            return False
-        return all(is_cograph(co.induced(c)) for c in comps)
-    return all(is_cograph(g.induced(c)) for c in comps)
-
-
-def _is_clique_stable_join(comp: Graph) -> bool:
-    # Connected join of a clique and a stable set: the clique side is
-    # exactly the universal vertices, so the rest must be stable.
-    full = comp.vertex_mask()
-    nonuniversal = [v for v in range(comp.n) if comp.adj[v] != full ^ (1 << v)]
-    return all(comp.adj[v] & sum(1 << u for u in nonuniversal) == 0
-               for v in nonuniversal)
+def member(f: FamilySpec, g: Graph, mask: int | None = None) -> bool:
+    """Is the subgraph of g induced on ``mask`` (default: all of g) in f?"""
+    if mask is None:
+        mask = g.vertex_mask()
+    elif mask & ~g.vertex_mask():
+        raise ValueError("vertex set outside graph range")
+    if f.patterns is not None:
+        return not any(contains_induced(g, p, mask) for p in f.patterns)
+    return _RECOGNIZERS[f.name](g.adj, mask)
 
 
 def girth(g: Graph) -> float:
@@ -188,60 +240,6 @@ def girth(g: Graph) -> float:
     return best
 
 
-# -- named recognizers -------------------------------------------------------
-
-
-def _complement_components(g: Graph) -> list[Graph]:
-    co = g.complement()
-    return [co.induced(c) for c in co.component_masks()]
-
-
-def _member_named(name: str, g: Graph) -> bool:
-    if name == "clique":
-        return is_clique_graph(g)
-    if name == "clique-or-e2":
-        return is_clique_graph(g) or (g.n == 2 and g.edge_count() == 0)
-    if name == "stable":
-        return is_stable_graph(g)
-    if name == "co-girth-5":
-        return girth(g.complement()) >= 5
-    if name == "stars-triangles-co":
-        return all(is_star_graph(c) or (c.n == 3 and is_clique_graph(c))
-                   for c in _complement_components(g))
-    if name == "stars-cliques-co":
-        return all(is_star_graph(c) or is_clique_graph(c)
-                   for c in _complement_components(g))
-    if name == "split-join-components-co":
-        return all(_is_clique_stable_join(c) for c in _complement_components(g))
-    if name == "cograph":
-        return is_cograph(g)
-    if name == "complete-multipartite":
-        return all(is_clique_graph(c) for c in _complement_components(g))
-    if name == "disjoint-cliques":
-        return all(is_clique_graph(g.induced(c)) for c in g.component_masks())
-    if name == "co-matching":
-        co = g.complement()
-        return all(row.bit_count() <= 1 for row in co.adj)
-    if name == "clique-union-stable":
-        comps = [g.induced(c) for c in g.component_masks()]
-        if not all(is_clique_graph(c) for c in comps):
-            return False
-        return sum(1 for c in comps if c.n >= 2) <= 1
-    if name == "split":
-        return is_split_graph(g)
-    if name == "bipartite":
-        return is_bipartite_graph(g)
-    if name == "co-bipartite":
-        return is_bipartite_graph(g.complement())
-    raise ValueError(f"unknown family name {name!r}")
-
-
-def member(f: FamilySpec, g: Graph) -> bool:
-    if f.patterns is not None:
-        return not any(contains_induced(g, p) for p in f.patterns)
-    return _member_named(f.name, g)
-
-
 # -- forbidden bases ---------------------------------------------------------
 
 
@@ -258,10 +256,15 @@ def _subset_orbit_reps(m: int, gens) -> list[int]:
     return [s for s, least in enumerate(_orbits(1 << m, images)) if least == s]
 
 
-@lru_cache(maxsize=None)
+# _levels[n]: one (representative, its search result) per class on n
+# vertices, generated once per process.
+_levels: list[list[tuple[Graph, Canon]]] = []
+
+
 def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
     """One canonical representative per isomorphism class, n = 0..nmax,
-    each level sorted by canonical rows.
+    each level sorted by canonical rows.  Levels not yet generated in this
+    process are generated from the last one, so no level is built twice.
 
     Classes are generated by canonical augmentation (McKay, *Isomorph-free
     exhaustive generation*, J. Algorithms 26, 1998).  A class on n vertices
@@ -276,10 +279,11 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
     canonical search.  The search result of each kept class is carried to
     its representative, so that ``automorphism_count`` never searches it.
     """
-    levels = [[_canonical_copy(_canon_search(Graph(0, ())))]]
-    for n in range(1, nmax + 1):
+    if not _levels:
+        _levels.append([_canonical_copy(_canon_search(Graph(0, ())))])
+    for n in range(len(_levels), nmax + 1):
         kept = []
-        for p, pc in levels[-1]:
+        for p, pc in _levels[-1]:
             pdeg = p.degrees()
             for nb in _subset_orbit_reps(n - 1, pc.gens):
                 deg = [d + (nb >> i & 1) for i, d in enumerate(pdeg)]
@@ -302,8 +306,14 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
                         continue
                 kept.append(c)
         kept.sort(key=lambda c: c.rows)
-        levels.append([_canonical_copy(c) for c in kept])
-    return tuple(g for level in levels for g, _ in level)
+        _levels.append([_canonical_copy(c) for c in kept])
+    return tuple(g for level in _levels[:nmax + 1] for g, _ in level)
+
+
+def _unlabeled_level(n: int) -> tuple[Graph, ...]:
+    """The class representatives on n vertices alone."""
+    _unlabeled_up_to(n)
+    return tuple(g for g, _ in _levels[n])
 
 
 @lru_cache(maxsize=None)
@@ -313,9 +323,9 @@ def named_forbidden_basis(name: str) -> tuple[Graph, ...]:
     Computed by brute force over all graphs with <= 6 vertices: a graph is
     in the basis iff it is outside the family while all its one-vertex
     deletions are inside.  Basis consistency against the recognizers is
-    re-checked exhaustively (n <= 7) in the test suite.
+    re-checked exhaustively (n <= 6) in the test suite.
     """
-    if name not in NAMED_FAMILIES:
+    if name not in _RECOGNIZERS:
         raise ValueError(f"unknown family name {name!r}")
     if name in _NO_FINITE_BASIS:
         raise NoFiniteBasisError(
@@ -326,7 +336,7 @@ def named_forbidden_basis(name: str) -> tuple[Graph, ...]:
         if g.n == 0 or member(fam, g):
             continue
         full = g.vertex_mask()
-        if all(member(fam, g.induced(full ^ (1 << v))) for v in range(g.n)):
+        if all(member(fam, g, full ^ 1 << v) for v in range(g.n)):
             out.append(g)
     return tuple(sorted(out, key=canonical_key))
 
@@ -353,9 +363,8 @@ def is_restricted(f: FamilySpec) -> bool:
     some split graph; for a forbidden-basis family this means the basis
     holds one pattern of each kind."""
     b = basis_of(f)
-    return (any(is_bipartite_graph(p) for p in b)
-            and any(is_bipartite_graph(p.complement()) for p in b)
-            and any(is_split_graph(p) for p in b))
+    return all(any(member(FamilySpec.named(kind), p) for p in b)
+               for kind in ("bipartite", "co-bipartite", "split"))
 
 
 # -- girth-5 statistics ------------------------------------------------------

@@ -128,25 +128,27 @@ class Graph:
     # -- connectivity ------------------------------------------------------
 
     def component_masks(self) -> list[int]:
-        seen = 0
-        comps = []
-        for v in range(self.n):
-            if seen >> v & 1:
-                continue
-            comp = 1 << v
-            frontier = self.adj[v] & ~comp
-            while frontier:
-                comp |= frontier
-                nxt = 0
-                for u in bits(frontier):
-                    nxt |= self.adj[u]
-                frontier = nxt & ~comp
-            comps.append(comp)
-            seen |= comp
-        return comps
+        return mask_components(self.adj, self.vertex_mask())
 
     def is_connected(self) -> bool:
         return self.n <= 1 or len(self.component_masks()) == 1
+
+
+def mask_components(adj, s: int) -> list[int]:
+    """Vertex masks of the components of the subgraph that the rows ``adj``
+    induce on the mask ``s``, by least vertex."""
+    comps = []
+    while s:
+        comp = frontier = s & -s
+        while frontier:
+            reach = 0
+            for v in bits(frontier):
+                reach |= adj[v]
+            frontier = reach & s & ~comp
+            comp |= frontier
+        comps.append(comp)
+        s ^= comp
+    return comps
 
 
 # -- standard graphs --------------------------------------------------------
@@ -187,15 +189,17 @@ def star(leaves: int) -> Graph:
 # -- induced subgraph containment and isomorphism ---------------------------
 
 
-def contains_induced(g: Graph, h: Graph) -> bool:
-    """True iff some vertex subset of g induces a copy of h.
+def contains_induced(g: Graph, h: Graph, within: int | None = None) -> bool:
+    """True iff some vertex subset of g (of the mask ``within``, if given)
+    induces a copy of h.
 
     Backtracking injective map; pattern vertices ordered by decreasing
     degree (ties by index) so dense patterns prune early.
     """
     if h.n == 0:
         return True
-    if h.n > g.n:
+    hosts = range(g.n) if within is None else list(bits(within))
+    if h.n > len(hosts):
         return False
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))
     hadj = h.adj
@@ -207,7 +211,7 @@ def contains_induced(g: Graph, h: Graph) -> bool:
             return True
         pv = order[i]
         want = hadj[pv]
-        for gv in range(g.n):
+        for gv in hosts:
             if used >> gv & 1:
                 continue
             ok = True

@@ -14,8 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .families import FamilySpec, basis_of, family_subset, is_clique_graph, \
-    is_stable_graph
+from .families import FamilySpec, family_subset, member
 from .graphs import Graph, bits, canonical_key, cycle, empty, path
 from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
     is_witnessing_sequence, wpn
@@ -47,6 +46,7 @@ def subgraph_poset(h: Graph) -> SubgraphPoset:
             reps.append(Graph(key[0], key[1]))
         class_of_mask.append(c)
     m = len(reps)
+    clique, stable = FamilySpec.named("clique"), FamilySpec.named("stable")
     below = [[] for _ in range(m)]
     for c in range(m):
         for p in range(m):
@@ -56,8 +56,8 @@ def subgraph_poset(h: Graph) -> SubgraphPoset:
         reps=reps,
         class_of_mask=class_of_mask,
         below=below,
-        clique_classes={c for c, g in enumerate(reps) if is_clique_graph(g)},
-        stable_classes={c for c, g in enumerate(reps) if is_stable_graph(g)},
+        clique_classes={c for c, g in enumerate(reps) if member(clique, g)},
+        stable_classes={c for c, g in enumerate(reps) if member(stable, g)},
         trivial_classes={c for c, g in enumerate(reps) if g.n <= 1},
     )
 

@@ -8,15 +8,9 @@ partition is a certificate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .families import (
-    FamilySpec,
-    basis_of,
-    is_clique_graph,
-    is_stable_graph,
-    member,
-)
+from .families import FamilySpec, basis_of, member
 from .graphs import Graph, bits, clique, cycle, empty, is_isomorphic, path
 
 
@@ -59,70 +53,39 @@ class PartitionCertificate:
     sequence: WitnessSequence
 
     def verify(self, g: Graph) -> bool:
-        return all(
-            member(f, g.induced(self.partition.part_mask(i)))
-            for i, f in enumerate(self.sequence.parts)
-        )
+        return all(member(f, g, self.partition.part_mask(i))
+                   for i, f in enumerate(self.sequence.parts))
 
 
 class BudgetExhausted(RuntimeError):
     """Search budget ran out before the enumeration completed."""
 
 
-# -- clique/stable partitions and wpn ----------------------------------------
+# -- wpn ---------------------------------------------------------------------
 
 
-def clique_stable_partition_exists(h: Graph, c: int, s: int) -> bool:
-    """Can V(h) be partitioned into c cliques and s stable sets?  Empty
-    parts are allowed."""
-    if c < 0 or s < 0:
-        raise ValueError("part counts must be nonnegative")
-    kinds = [True] * c + [False] * s  # True = clique
-    masks = [0] * (c + s)
-
-    def rec(v: int) -> bool:
-        if v == h.n:
-            return True
-        row = h.adj[v]
-        tried_empty_clique = False
-        tried_empty_stable = False
-        for i, is_cl in enumerate(kinds):
-            m = masks[i]
-            if m == 0:
-                # identical empty parts are interchangeable; try one per kind
-                if is_cl:
-                    if tried_empty_clique:
-                        continue
-                    tried_empty_clique = True
-                else:
-                    if tried_empty_stable:
-                        continue
-                    tried_empty_stable = True
-            if is_cl:
-                if row & m != m:
-                    continue
-            else:
-                if row & m:
-                    continue
-            masks[i] = m | 1 << v
-            if rec(v + 1):
-                return True
-            masks[i] = m
-        return False
-
-    return rec(0)
+_CLIQUE = FamilySpec.named("clique")
+_STABLE = FamilySpec.named("stable")
 
 
 def wpn(h: Graph) -> int:
-    """Witnessing partition number: max k such that for some c+s=k there is
-    no partition of V(h) into c cliques and s stable sets (0 for K1/K0)."""
-    if h.n == 0:
-        return 0
-    for k in range(h.n, 0, -1):
-        for c in range(k + 1):
-            if not clique_stable_partition_exists(h, c, k - c):
-                return k
-    return 0
+    """Witnessing partition number: the largest c + s such that V(h) has
+    no partition into c cliques and s stable sets (0 for K1/K0).
+
+    Parts may be empty, so the least s that works with c cliques never
+    grows with c, and wpn is the largest c + s_min(c) - 1.  The search
+    walks that staircase from c = 0 with find_certificate, so it makes
+    O(n) searches, one failing search per c.
+    """
+    best, s = 0, h.n  # n singleton stable sets always partition V(h)
+    for c in range(h.n + 1):
+        while s and c + s > 1 and find_certificate(h, WitnessSequence(
+                (_CLIQUE,) * c + (_STABLE,) * (s - 1))) is not None:
+            s -= 1
+        if s == 0:
+            break
+        best = max(best, c + s - 1)
+    return best
 
 
 # -- sequence validity and certificates --------------------------------------
@@ -147,8 +110,9 @@ def find_certificate(g: Graph, seq: WitnessSequence) -> PartitionCertificate | N
     """A partition of V(g) with part i inside family i, or None.
 
     Backtracking vertex by vertex; heredity makes pruning on the current
-    part content sound.  Clique-family slots are branched first since they
-    prune fastest.
+    part content sound.  Each probe is ``member`` on the part's vertex
+    mask, memoised once per distinct family, so no subgraph is built.
+    Clique-family slots are branched first since they prune fastest.
 
     Slots with equal families are twins.  A vertex may open an empty slot
     only when the twin before it in branching order is already filled, so
@@ -167,14 +131,14 @@ def find_certificate(g: Graph, seq: WitnessSequence) -> PartitionCertificate | N
         twin = next((j for j in reversed(order[:pos])
                      if seq.parts[j] == seq.parts[i]), None)
         branches.append((i, twin))
-    memo: list[dict[int, bool]] = [dict() for _ in range(k)]
+    memos: dict[FamilySpec, dict[int, bool]] = {}
+    memo = [memos.setdefault(f, {}) for f in seq.parts]
 
     def part_ok(i: int, mask: int) -> bool:
         cache = memo[i]
         got = cache.get(mask)
         if got is None:
-            got = member(seq.parts[i], g.induced(mask))
-            cache[mask] = got
+            got = cache[mask] = member(seq.parts[i], g, mask)
         return got
 
     if any(not part_ok(i, 0) for i in range(k)):
@@ -208,37 +172,33 @@ def find_certificate(g: Graph, seq: WitnessSequence) -> PartitionCertificate | N
 # -- the four theorems -------------------------------------------------------
 
 
+def _theorem_l(theorem: str) -> int:
+    """Half the cycle length of theorem 'c6', 'c8', 'c10' or 'c2l:<l>'
+    (l > 5)."""
+    fixed = {"c6": 3, "c8": 4, "c10": 5}
+    if theorem in fixed:
+        return fixed[theorem]
+    if not theorem.startswith("c2l:"):
+        raise ValueError(f"unknown theorem {theorem!r}")
+    l = int(theorem[len("c2l:"):])
+    if l <= 5:
+        raise ValueError("c2l theorem requires l > 5")
+    return l
+
+
 def theorem_sequence(theorem: str) -> WitnessSequence:
     """The witnessing sequence of theorem 'c6', 'c8', 'c10' or 'c2l:<l>'."""
-    if theorem == "c6":
-        fams = [FamilySpec.named("co-girth-5"), FamilySpec.named("stable")]
-    elif theorem == "c8":
-        fams = [FamilySpec.named("split-join-components-co")] + \
-            [FamilySpec.named("clique")] * 2
-    elif theorem == "c10":
-        fams = [FamilySpec.named("stars-cliques-co")] + \
-            [FamilySpec.named("clique")] * 3
-    elif theorem.startswith("c2l:"):
-        l = int(theorem.split(":", 1)[1])
-        if l <= 5:
-            raise ValueError("c2l theorem requires l > 5")
-        fams = [FamilySpec.named("stars-triangles-co")] + \
-            [FamilySpec.named("clique")] * (l - 2)
-    else:
-        raise ValueError(f"unknown theorem {theorem!r}")
-    return WitnessSequence(parts=tuple(fams))
+    l = _theorem_l(theorem)
+    if l == 3:
+        return WitnessSequence((FamilySpec.named("co-girth-5"), _STABLE))
+    head = {4: "split-join-components-co", 5: "stars-cliques-co"}.get(
+        l, "stars-triangles-co")
+    return WitnessSequence((FamilySpec.named(head),) + (_CLIQUE,) * (l - 2))
 
 
 def theorem_cycle(theorem: str) -> Graph:
-    if theorem == "c6":
-        return cycle(6)
-    if theorem == "c8":
-        return cycle(8)
-    if theorem == "c10":
-        return cycle(10)
-    if theorem.startswith("c2l:"):
-        return cycle(2 * int(theorem.split(":", 1)[1]))
-    raise ValueError(f"unknown theorem {theorem!r}")
+    """The cycle C_{2l} that theorem 'c6', 'c8', 'c10' or 'c2l:<l>' forbids."""
+    return cycle(2 * _theorem_l(theorem))
 
 
 def theorem_certifier(g: Graph, theorem: str) -> PartitionCertificate | None:
@@ -253,8 +213,8 @@ def is_really_canonical(seq: WitnessSequence) -> bool:
     all stable sets (no basis pattern is stable)."""
     for f in seq.parts:
         basis = basis_of(f)
-        if any(is_clique_graph(p) for p in basis) and \
-                any(is_stable_graph(p) for p in basis):
+        if any(member(_CLIQUE, p) for p in basis) and \
+                any(member(_STABLE, p) for p in basis):
             return False
     return True
 

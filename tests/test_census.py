@@ -160,6 +160,15 @@ def test_soundness_crosscheck_cadence(monkeypatch):
     assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
 
 
+def test_census_config_rejects_bad_theorem_ids():
+    c6 = emit_graph6(cycle(6))
+    for theorem in ("c2l:3", "c2l:5", "c6x"):
+        with pytest.raises(ValueError):
+            CensusConfig(n=4, forbidden_g6=c6, theorem=theorem, mode="labeled")
+    CensusConfig(n=4, forbidden_g6=emit_graph6(cycle(12)), theorem="c2l:6",
+                 mode="labeled")
+
+
 def test_census_rejects_nonpositive_threads():
     for threads in (0, -3):
         with pytest.raises(ValueError):

@@ -50,6 +50,34 @@ def test_wpn_from_file(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
 
 
+def test_graph_text_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / C6).write_text("@\n")            # K0, under the name of C6
+    (tmp_path / "c8.g6").write_text(C8 + "\n")
+    assert main(["wpn", C6]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert main(["wpn", "c8.g6"]) == 0
+    assert capsys.readouterr().out.strip() == "3"
+    assert main(["wpn", "no-such-file"]) == 2
+    assert main(["wpn", str(tmp_path)]) == 2       # a directory is no file
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--fn", "bell", "--n", "1500"],
+    ["count", "--fn", "bell", "--n", "4001"],
+    ["count", "--fn", "f1", "--n", "3000"],
+    ["count", "--fn", "cographs", "--n", "3000"],
+    ["count", "--fn", "bell", "--n", "-1"],
+    ["bound", "--n", "3000", "--l", "4"],
+], ids=lambda argv: "-".join(argv[1:]))
+def test_large_counts_exit_0_or_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code in (0, 2)
+    assert "Traceback" not in captured.err
+    assert (code == 0) == bool(captured.out) == (not captured.err)
+
+
 def test_wpn_adjacency_text_input(capsys):
     assert main(["wpn", "n=3; edges: 0-1 1-2 0-2"]) == 0
     assert capsys.readouterr().out.strip() == "2"

@@ -1,10 +1,16 @@
+import inspect
+import itertools
 import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from wpnlab.census import graph_from_edge_mask
 from wpnlab.counting import (
+    MAX_BELL_N,
+    MAX_COGRAPH_N,
+    MAX_F_STAR_N,
     PowBellBound,
     SetPartition,
     UniformPartitionSampler,
@@ -19,6 +25,7 @@ from wpnlab.counting import (
     partition_stats,
     sample_uniform_partition,
     vertices_in_blocks_larger_than,
+    _urn_weight_table,
 )
 from wpnlab.families import FamilySpec, member
 
@@ -163,6 +170,50 @@ def test_sampler_n1_and_n2():
     s = UniformPartitionSampler(2, 31)
     together = sum(1 for _ in range(40000) if len(s.sample().blocks) == 1)
     assert abs(together / 40000 - 0.5) < 0.01
+
+
+def _fraction_urn_table(n):
+    """The urn weights built in exact rationals, scaled by the lcm of their
+    denominators."""
+    weights = []
+    u, fact, total = 1, 1, Fraction(0)
+    while True:
+        w = Fraction(u ** n, fact * u)
+        weights.append(w)
+        total += w
+        if u > 1 and w < weights[-2]:
+            ratio = w / weights[-2]
+            if w * ratio / (1 - ratio) < total * Fraction(1, 1 << 100):
+                break
+        fact *= u
+        u += 1
+    denom = math.lcm(*(w.denominator for w in weights))
+    cum = tuple(itertools.accumulate(int(w * denom) for w in weights))
+    return cum, cum[-1]
+
+
+def test_urn_weight_table_matches_rational_reference():
+    for n in list(range(1, 80)) + [150, 500]:
+        assert _urn_weight_table(n) == _fraction_urn_table(n), n
+
+
+def test_counts_do_not_recurse():
+    n = 1300
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        b = bell(n + 1)
+        f = [f_star(3, m) for m in (399, 400)]
+        c = labeled_cograph_count(400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert b == sum(math.comb(n, k) * bell(k) for k in range(n + 1))
+    assert f[0] < f[1] and c % 2 == 0
+    for count, cap in ((bell, MAX_BELL_N), (lambda n: f_star(2, n), MAX_F_STAR_N),
+                       (labeled_cograph_count, MAX_COGRAPH_N)):
+        for bad in (-1, cap + 1):
+            with pytest.raises(ValueError):
+                count(bad)
 
 
 def test_expected_block_identity_by_enumeration():

@@ -88,6 +88,59 @@ def test_class_generation_is_pinned():
         "090dfd76c396dffa8a91f283c90b9745c57546d9d95588a9a9fd9a19e684a317"
 
 
+def test_levels_are_generated_once(monkeypatch):
+    import wpnlab.families as fam
+
+    expected = _unlabeled_up_to(7)
+    calls = []
+    real = fam._canon_search
+    monkeypatch.setattr(fam, "_canon_search", lambda g: calls.append(g) or real(g))
+    monkeypatch.setattr(fam, "_levels", [])
+    assert fam._unlabeled_up_to(6) == expected[:209]
+    up_to_6 = len(calls)
+    assert fam._unlabeled_up_to(5) == expected[:53]
+    assert len(calls) == up_to_6
+    assert fam._unlabeled_level(7) == expected[209:]
+    # n <= 6 then level 7 costs what one fresh n <= 7 run does
+    up_to_7 = len(calls)
+    calls.clear()
+    monkeypatch.setattr(fam, "_levels", [])
+    assert fam._unlabeled_up_to(7) == expected
+    assert len(calls) == up_to_7 > up_to_6
+
+
+def test_membership_is_pinned():
+    """One 0/1 membership string per named family over every class up to
+    n = 7, and every finite named basis, as the structural recognizers
+    gave them before they read vertex masks."""
+    classes = _unlabeled_up_to(7)
+    assert len(classes) == 1253
+    text = "\n".join(name + ":" + "".join(
+        "1" if member(FamilySpec.named(name), g) else "0" for g in classes)
+        for name in NAMED_FAMILIES)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "70e36bbcd9df23a4fd678a0d957f0065cee3988ada64c88bc16f91379730f042"
+    bases = "".join(
+        name + ":" + ",".join(emit_graph6(p) for p in named_forbidden_basis(name)) + "\n"
+        for name in NAMED_FAMILIES if name not in ("bipartite", "co-bipartite"))
+    assert hashlib.sha256(bases.encode()).hexdigest() == \
+        "e8ca091133d19142844ff8e86fd6fdf361426f43f1eefe12d08bfd59de5b1641"
+
+
+def test_member_on_a_mask_equals_member_on_the_induced_subgraph():
+    families = [FamilySpec.named(name) for name in NAMED_FAMILIES] + [
+        FamilySpec.forbidden([P3]),
+        FamilySpec.forbidden([path(4), cycle(4), empty(3)]),
+    ]
+    for g in _unlabeled_up_to(6):
+        for mask in range(1 << g.n):
+            sub = g.induced(mask)
+            for f in families:
+                assert member(f, g, mask) == member(f, sub), (f.label(), emit_graph6(g), mask)
+    with pytest.raises(ValueError):
+        member(FamilySpec.named("clique"), P3, 0b1000)
+
+
 def test_representatives_are_pairwise_non_isomorphic():
     import networkx as nx
 

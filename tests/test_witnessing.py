@@ -1,13 +1,15 @@
+import functools
 import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpnlab.families import FamilySpec, member
+from wpnlab.families import FamilySpec, _unlabeled_up_to, member
 from wpnlab.graphs import (
     clique,
     contains_induced,
     cycle,
+    emit_graph6,
     empty,
     is_isomorphic,
     path,
@@ -16,12 +18,12 @@ from wpnlab.graphs import (
 from wpnlab.witnessing import (
     Partition,
     WitnessSequence,
-    clique_stable_partition_exists,
     find_certificate,
     is_really_canonical,
     is_witnessing_sequence,
     partition_into_parts,
     theorem_certifier,
+    theorem_cycle,
     theorem_sequence,
     verify_cycle_partition_claims,
     wpn,
@@ -43,13 +45,49 @@ def test_partition_type():
         Partition(arity=1, assignment=(0, 1))
 
 
+def _clique_stable_partition(h, c, s):
+    return find_certificate(h, WitnessSequence((CLIQUE,) * c + (STABLE,) * s))
+
+
 def test_clique_stable_partition_spot_values():
-    assert clique_stable_partition_exists(cycle(6), 0, 2)
-    assert not clique_stable_partition_exists(cycle(6), 2, 0)
-    assert not clique_stable_partition_exists(cycle(4), 1, 1)
-    assert clique_stable_partition_exists(cycle(6), 3, 0)
+    assert _clique_stable_partition(cycle(6), 0, 2)
+    assert not _clique_stable_partition(cycle(6), 2, 0)
+    assert not _clique_stable_partition(cycle(4), 1, 1)
+    assert _clique_stable_partition(cycle(6), 3, 0)
     # empty parts allowed: one clique suffices for K4 even with s=3
-    assert clique_stable_partition_exists(clique(4), 1, 3)
+    assert _clique_stable_partition(clique(4), 1, 3)
+
+
+def _wpn_oracle(h):
+    """Largest c + s with no partition of V(h) into c cliques and s stable
+    sets, by dynamic programming over set partitions of vertex masks."""
+    kind = [(member(CLIQUE, h, m), member(STABLE, h, m)) for m in range(1 << h.n)]
+
+    @functools.lru_cache(maxsize=None)
+    def cover(mask, c, s):
+        if not mask:
+            return True
+        low = mask & -mask
+        rest = sub = mask ^ low
+        while True:
+            block = sub | low
+            if (c and kind[block][0] and cover(mask ^ block, c - 1, s)) or \
+                    (s and kind[block][1] and cover(mask ^ block, c, s - 1)):
+                return True
+            if not sub:
+                return False
+            sub = (sub - 1) & rest
+
+    full = (1 << h.n) - 1
+    return max((c + s for c in range(h.n + 1) for s in range(h.n + 1 - c)
+                if not cover(full, c, s)), default=0)
+
+
+def test_wpn_matches_partition_oracle():
+    """The staircase walk equals the largest failing (c, s) pair over every
+    class with n <= 6 and the cycles C3..C9."""
+    for g in _unlabeled_up_to(6) + tuple(cycle(k) for k in range(3, 10)):
+        assert wpn(g) == _wpn_oracle(g), emit_graph6(g)
 
 
 def test_wpn_values():
@@ -85,10 +123,12 @@ def test_theorem_sequences_witness_their_cycles():
 
 
 def test_theorem_preconditions():
-    with pytest.raises(ValueError):
-        theorem_sequence("c2l:5")
-    with pytest.raises(ValueError):
-        theorem_sequence("c12")
+    for bad in ("c2l:5", "c2l:3", "c2l:", "c12", "c2l:x"):
+        for parse in (theorem_sequence, theorem_cycle):
+            with pytest.raises(ValueError):
+                parse(bad)
+    assert theorem_cycle("c2l:6") == cycle(12)
+    assert len(theorem_sequence("c2l:7")) == 6
 
 
 def test_is_really_canonical():
