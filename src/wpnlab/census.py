@@ -5,10 +5,19 @@ Both modes run one fold over (graph, weight) pairs: each graph is tested
 for an induced forbidden cycle, certified, cross-checked for soundness and
 counted with its weight.  Labeled mode feeds it every edge subset (n <= 8)
 with weight 1, sharded by edge-mask prefix for parallel and resumable runs.
-Unlabeled-weighted mode feeds it one representative per isomorphism class
-(n <= 9) with weight n!/|Aut|, which reproduces the labeled totals
-exactly; agreement of the two modes is itself a census invariant for
-n <= 7.  Unlabeled runs are serial and take no shard count or manifest.
+A shard walks its low edge bits in Gray-code order, so each graph is the
+last one with one edge flipped: two XORs on a list of adjacency rows, and
+no validation.  Unlabeled-weighted mode feeds it one representative per
+isomorphism class (n <= 9) with weight n!/|Aut|, which reproduces the
+labeled totals exactly; agreement of the two modes is itself a census
+invariant for n <= 7.  Unlabeled runs are serial and take no shard count
+or manifest.
+
+For c6 the fold offers each graph the last certificate found, a stable
+set S whose complement part has no stable triple and no induced 2K2.  It
+is kept if S is still such a set, which checks the whole certificate; else
+the maximal stable sets are searched.  On the Gray walk of an n = 7
+shard S holds for 83-87 % of the certifiable graphs.
 
 All fractions are exact rationals; reports contain no wall-clock data, so a
 report is byte-identical for a fixed configuration regardless of thread
@@ -30,6 +39,7 @@ from functools import lru_cache
 
 from .families import (
     _is_cogirth5,
+    _is_stable,
     _unlabeled_level,
     girth,
     heavy_degree_check,
@@ -86,13 +96,33 @@ def _pair_order(n: int) -> tuple[tuple[int, int], ...]:
     return tuple((i, j) for i in range(n) for j in range(i + 1, n))
 
 
-def graph_from_edge_mask(n: int, mask: int) -> Graph:
+def _edge_mask_rows(n: int, mask: int) -> list[int]:
     rows = [0] * n
     for e, (i, j) in enumerate(_pair_order(n)):
         if mask >> e & 1:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return rows
+
+
+def graph_from_edge_mask(n: int, mask: int) -> Graph:
+    return Graph(n, tuple(_edge_mask_rows(n, mask)))
+
+
+def _shard_graphs(n: int, prefix: int, low: int):
+    """Every graph whose edge mask is prefix * 2^low + r, r < 2^low, in
+    Gray-code order of r: step t flips edge ctz(t), two row XORs.  The
+    graphs are built unchecked, since each row tuple is symmetric and
+    loop-free by construction."""
+    pairs = _pair_order(n)
+    rows = _edge_mask_rows(n, prefix << low)
+    trusted = Graph._trusted
+    yield trusted(n, tuple(rows))
+    for t in range(1, 1 << low):
+        i, j = pairs[(t & -t).bit_length() - 1]
+        rows[i] ^= 1 << j
+        rows[j] ^= 1 << i
+        yield trusted(n, tuple(rows))
 
 
 def enumerate_labeled(n: int, visitor) -> None:
@@ -185,13 +215,27 @@ def _maximal_stable_sets(g: Graph):
     yield from rec(0, full, 0)
 
 
-def c6_certifiable(g: Graph) -> bool:
-    """Partition into a co-girth-5 part and a stable part exists.
+def c6_certificate(g: Graph, hint: int | None = None) -> int | None:
+    """A stable set S whose complement in V(g) is co-girth-5, or None.
 
-    By heredity of co-girth-5 it is enough to try maximal stable sets.
+    A hint (say, the previous graph's S) is returned if it is such a set
+    in g, which checks the whole certificate.  Otherwise, by heredity of
+    co-girth-5, it is enough to try the maximal stable sets.
     """
+    adj = g.adj
     full = g.vertex_mask()
-    return any(_is_cogirth5(g.adj, full ^ s) for s in _maximal_stable_sets(g))
+    if (hint is not None and not hint & ~full and _is_stable(adj, hint)
+            and _is_cogirth5(adj, full ^ hint)):
+        return hint
+    for s in _maximal_stable_sets(g):
+        if _is_cogirth5(adj, full ^ s):
+            return s
+    return None
+
+
+def c6_certifiable(g: Graph) -> bool:
+    """Partition into a co-girth-5 part and a stable part exists."""
+    return c6_certificate(g) is not None
 
 
 # -- census --------------------------------------------------------------------
@@ -260,48 +304,51 @@ class CensusReport:
         }
 
 
-def _certifiable(g: Graph, theorem: str) -> bool:
-    if theorem == "c6":
-        return c6_certifiable(g)
-    return theorem_certifier(g, theorem) is not None
-
-
 def _fold(config: CensusConfig, weighted_graphs) -> tuple[int, int, int]:
     """Weighted (total, hfree, certifiable) over (graph, weight) pairs.
 
-    The soundness cross-check runs on every certifiable graph when n <= 6,
-    otherwise on every 1024th one visited, counted without weights.
+    For c6 the last certificate found is offered to the next graph first;
+    consecutive graphs of a Gray walk differ in one edge, so it usually
+    holds.  The soundness cross-check runs on a validated copy of every
+    certifiable graph when n <= 6, otherwise of every 1024th one visited,
+    counted without weights.
     """
     forb = theorem_cycle(config.theorem)
     exhaustive_check = config.n <= 6
     total = hfree = certifiable = checked = 0
+    witness = None
     for g, w in weighted_graphs:
         total += w
         if has_induced_cycle(g, forb.n):
             continue
         hfree += w
-        if _certifiable(g, config.theorem):
-            certifiable += w
-            checked += 1
-            if exhaustive_check or checked % 1024 == 1:
-                if contains_induced(g, forb):
-                    raise RuntimeError(
-                        "soundness cross-check failed: certifiable graph "
-                        f"{emit_graph6(g)} contains the forbidden cycle")
+        if config.theorem == "c6":
+            s = c6_certificate(g, witness)
+            if s is None:
+                continue
+            witness = s
+        elif theorem_certifier(g, config.theorem) is None:
+            continue
+        certifiable += w
+        checked += 1
+        if exhaustive_check or checked % 1024 == 1:
+            if contains_induced(Graph(g.n, g.adj), forb):
+                raise RuntimeError(
+                    "soundness cross-check failed: certifiable graph "
+                    f"{emit_graph6(g)} contains the forbidden cycle")
     return total, hfree, certifiable
 
 
-def _shard_size(config: CensusConfig) -> int:
-    """Edge masks per shard of the labeled census."""
-    return 1 << (config.n * (config.n - 1) // 2 - config.shard_prefix_bits)
+def _shard_bits(config: CensusConfig) -> int:
+    """Low edge bits that vary within a shard of the labeled census."""
+    return config.n * (config.n - 1) // 2 - config.shard_prefix_bits
 
 
 def _count_shard(config: CensusConfig, prefix: int) -> dict:
     """Exact counts over one edge-mask-prefix shard of the labeled census."""
-    size = _shard_size(config)
     total, hfree, certifiable = _fold(
-        config, ((graph_from_edge_mask(config.n, prefix * size + rest), 1)
-                 for rest in range(size)))
+        config, ((g, 1) for g in
+                 _shard_graphs(config.n, prefix, _shard_bits(config))))
     return {"prefix": prefix, "done": True,
             "total": total, "hfree": hfree, "certifiable": certifiable}
 
@@ -329,7 +376,7 @@ def _load_manifest(path: str, config: CensusConfig) -> list[dict]:
     if not isinstance(shards, list):
         raise ValueError(f"manifest {path} has no shard list")
     seen = set()
-    size = _shard_size(config)
+    size = 1 << _shard_bits(config)
     for s in shards:
         if not isinstance(s, dict) or type(s.get("done")) is not bool or any(
                 type(s.get(k)) is not int

@@ -69,6 +69,17 @@ class Graph:
             rows[v] |= 1 << u
         return Graph(n, tuple(rows))
 
+    @staticmethod
+    def _trusted(n: int, adj: tuple[int, ...]) -> "Graph":
+        """Internal constructor for enumerators whose rows are valid by
+        construction: it skips the __post_init__ checks.  Input from outside
+        goes through Graph(...), from_edges or parse_graph6."""
+        g = object.__new__(Graph)
+        fields = g.__dict__
+        fields["n"] = n
+        fields["adj"] = adj
+        return g
+
     def vertex_mask(self) -> int:
         return (1 << self.n) - 1
 

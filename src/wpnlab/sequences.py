@@ -241,13 +241,19 @@ def _sub(f: FamilySpec, target_name: str) -> bool:
     return family_subset(f, _target(target_name))
 
 
+@lru_cache(maxsize=8)
+def _wpn_of(h: Graph) -> int:
+    """wpn(h) once per graph, for the many sequences classified against it."""
+    return wpn(h)
+
+
 def classify_sequence(h: Graph, seq: WitnessSequence) -> str:
     """Match a really canonical witnessing wpn(h)-sequence against the
     case list for its cycle; 'NoMatch' would falsify the classification."""
     n = h.n
     if n < 6 or n % 2 or not is_isomorphic_cycle(h):
         raise ValueError("classification supports even cycles C6, C8, C10, C2l")
-    k = wpn(h)
+    k = _wpn_of(h)
     if len(seq) != k:
         raise ValueError(f"expected a {k}-sequence for C{n}")
     if not is_really_canonical(seq):

@@ -1,5 +1,6 @@
 import json
 import math
+import random
 import types
 from decimal import getcontext, localcontext
 
@@ -11,6 +12,7 @@ from wpnlab.census import (
     CensusConfig,
     ConfigMismatch,
     c6_certifiable,
+    c6_certificate,
     canonical_json,
     census,
     config_hash,
@@ -21,6 +23,9 @@ from wpnlab.census import (
     has_induced_cycle,
     orbit_size,
     _count_shard,
+    _fold,
+    _pair_order,
+    _shard_graphs,
     _unlabeled_classes,
     _write_manifest,
 )
@@ -31,7 +36,13 @@ from wpnlab.graphs import (
     cycle,
     emit_graph6,
 )
-from wpnlab.witnessing import find_certificate, theorem_sequence
+from wpnlab.graphs import Graph
+from wpnlab.witnessing import (
+    Partition,
+    PartitionCertificate,
+    find_certificate,
+    theorem_sequence,
+)
 
 
 def test_enumerate_labeled_counts():
@@ -88,14 +99,34 @@ def test_has_induced_cycle_matches_generic_check():
         assert has_induced_cycle(g, 6) == contains_induced(g, cycle(6))
 
 
+def _verified_c6_witness(g: Graph, s: int) -> bool:
+    parts = tuple(s >> v & 1 for v in range(g.n))
+    return PartitionCertificate(Partition(2, parts),
+                                theorem_sequence("c6")).verify(g)
+
+
 def test_c6_certifiable_matches_generic_certificate_search():
+    # every labeled graph with n <= 6, each also offered a stale witness:
+    # the previous mask's, and a random stable set
+    rng = random.Random(7)
     seq = theorem_sequence("c6")
-    for mask in range(1 << 10):
-        g = graph_from_edge_mask(5, mask)
-        assert c6_certifiable(g) == (find_certificate(g, seq) is not None)
-    for mask in range(0, 1 << 15, 131):
-        g = graph_from_edge_mask(6, mask)
-        assert c6_certifiable(g) == (find_certificate(g, seq) is not None)
+    for n in range(1, 7):
+        previous = None
+        for mask in range(1 << n * (n - 1) // 2):
+            g = graph_from_edge_mask(n, mask)
+            expected = c6_certifiable(g)
+            assert expected == (find_certificate(g, seq) is not None)
+            stable = 0
+            for v in rng.sample(range(n), n):
+                if rng.random() < 0.7 and not g.adj[v] & stable:
+                    stable |= 1 << v
+            for hint in (previous, stable):
+                s = c6_certificate(g, hint)
+                assert (s is not None) == expected
+                if s is not None:
+                    assert _verified_c6_witness(g, s)
+            if s is not None:
+                previous = s
 
 
 def test_census_small_vacuous():
@@ -158,6 +189,62 @@ def test_soundness_crosscheck_cadence(monkeypatch):
     k = sum(1 for g in _unlabeled_classes(7)
             if find_certificate(g, theorem_sequence("c8")) is not None)
     assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
+    calls.clear()
+    # one labeled n = 7 shard, walked in Gray-code order
+    shard = _count_shard(_c6_config(7, 6), 3)
+    k = shard["certifiable"]
+    assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
+
+
+def _c6_config(n: int, prefix_bits: int) -> CensusConfig:
+    return CensusConfig(n=n, forbidden_g6=emit_graph6(cycle(6)), theorem="c6",
+                        mode="labeled", shard_prefix_bits=prefix_bits)
+
+
+def _edge_mask(g: Graph) -> int:
+    return sum(1 << e for e, (i, j) in enumerate(_pair_order(g.n))
+               if g.adj[i] >> j & 1)
+
+
+def _shard_masks(config: CensusConfig, prefix: int) -> range:
+    low = config.n * (config.n - 1) // 2 - config.shard_prefix_bits
+    return range(prefix << low, prefix + 1 << low)
+
+
+def _check_gray_walk(config: CensusConfig, prefix: int, plain: tuple) -> None:
+    """The walk visits each mask of the shard once, as the validated graph
+    of that mask, and its counts are ``plain``, the counts in mask order."""
+    masks = _shard_masks(config, prefix)
+    low = len(masks).bit_length() - 1
+    walked = list(_shard_graphs(config.n, prefix, low))
+    assert sorted(_edge_mask(g) for g in walked) == list(masks)
+    for g in walked:
+        assert g == Graph(g.n, g.adj)
+        assert g == graph_from_edge_mask(g.n, _edge_mask(g))
+    shard = _count_shard(config, prefix)
+    assert (shard["total"], shard["hfree"], shard["certifiable"]) == plain
+
+
+def test_gray_walk_visits_each_shard_mask_once_with_plain_counts():
+    for n in range(1, 7):
+        # _fold on each mask alone: n <= 6 cross-checks every graph anyway
+        whole = _c6_config(n, 0)
+        per_mask = [_fold(whole, [(graph_from_edge_mask(n, m), 1)])
+                    for m in range(1 << n * (n - 1) // 2)]
+        for prefix_bits in (0, 3, 6):
+            if prefix_bits <= n * (n - 1) // 2:
+                config = _c6_config(n, prefix_bits)
+                for prefix in range(1 << prefix_bits):
+                    masks = _shard_masks(config, prefix)
+                    plain = tuple(sum(c) for c in
+                                  zip(*(per_mask[m] for m in masks)))
+                    _check_gray_walk(config, prefix, plain)
+    # the P3 and P4 shards that the benchmark computes afresh
+    config = _c6_config(7, 6)
+    for prefix in (3, 19):
+        plain = _fold(config, ((graph_from_edge_mask(7, m), 1)
+                               for m in _shard_masks(config, prefix)))
+        _check_gray_walk(config, prefix, plain)
 
 
 def test_census_config_rejects_bad_theorem_ids():

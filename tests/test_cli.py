@@ -1,12 +1,15 @@
 import json
+import math
 import pathlib
+import random
+import sys
 
 import jsonschema
 import pytest
 from referencing import Registry, Resource
 
 from wpnlab.census import MAX_UNLABELED_N
-from wpnlab.cli import main
+from wpnlab.cli import _decimal, main
 from wpnlab.graphs import cycle, emit_graph6
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
@@ -76,6 +79,40 @@ def test_large_counts_exit_0_or_2(capsys, argv):
     assert code in (0, 2)
     assert "Traceback" not in captured.err
     assert (code == 0) == bool(captured.out) == (not captured.err)
+
+
+def _bell_digits(n: int) -> int:
+    """Decimal digits of B_n by Dobinski's formula, B_n = sum k^n/k! / e,
+    summed in floating point on a log scale."""
+    logs = [n * math.log(k) - math.lgamma(k + 1) for k in range(1, 10 * n)]
+    top = max(logs)
+    log_b = top + math.log(sum(math.exp(x - top) for x in logs)) - 1
+    return math.floor(log_b / math.log(10)) + 1
+
+
+def test_counts_longer_than_the_default_digit_limit_print(capsys):
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    assert main(["count", "--fn", "bell", "--n", "3000"]) == 0
+    out = capsys.readouterr().out.strip()
+    assert out.isdigit() and len(out) == _bell_digits(3000) == 6965 > limit
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_decimal_conversion_is_exact():
+    def from_digits(digits: str) -> int:  # within int()'s digit limit
+        value = 0
+        for i in range(0, len(digits), 1000):
+            chunk = digits[i:i + 1000]
+            value = value * 10 ** len(chunk) + int(chunk)
+        return value
+
+    rng = random.Random(5)
+    values = [0, 1, 2 ** 2048, 2 ** 20000 - 1, 10 ** 4300, 10 ** 4301 - 1]
+    values += [rng.getrandbits(w) for w in (100, 2047, 2049, 4097, 30011)]
+    for v in values:
+        digits = _decimal(v)
+        assert digits.isdigit() and from_digits(digits) == v
+        assert digits == "0" or digits[0] != "0"
 
 
 def test_wpn_adjacency_text_input(capsys):
