@@ -24,6 +24,9 @@ from typing import Iterator
 MAX_BELL_N = 4000
 MAX_F_STAR_N = 1000
 MAX_COGRAPH_N = 800
+# The largest power of two an exact bound is built with: 2^(2^25) has about
+# 10.1 million decimal digits, takes 4 MB and prints in about 3 s.
+MAX_BOUND_EXPONENT = 1 << 25
 
 
 def _check_n(n: int, cap: int) -> None:
@@ -137,6 +140,9 @@ class PowBellBound:
     def exact_value(self) -> int:
         if not self.is_integral():
             raise ValueError("fractional exponent; compare with le_int/ge_int")
+        if self.exponent > MAX_BOUND_EXPONENT:
+            raise ValueError(f"exact value needs exponent <= {MAX_BOUND_EXPONENT}, "
+                             f"got {self.exponent}")
         return (1 << int(self.exponent)) * self.bell_factor
 
     def le_int(self, other: int) -> bool:

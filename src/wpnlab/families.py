@@ -243,9 +243,10 @@ def girth(g: Graph) -> float:
 # -- forbidden bases ---------------------------------------------------------
 
 
-def _subset_orbit_reps(m: int, gens) -> list[int]:
-    """The least vertex mask of each orbit of subsets of {0..m-1} under the
-    group the vertex permutations ``gens`` generate."""
+def _subset_orbits(m: int, gens) -> list[int]:
+    """For every vertex mask s of {0..m-1}, the least mask of its orbit
+    under the group that the vertex permutations ``gens`` generate.  The
+    orbit representatives are the masks s with ``orbit[s] == s``."""
     images = []
     for gamma in gens:
         image = [0] * (1 << m)
@@ -253,7 +254,7 @@ def _subset_orbit_reps(m: int, gens) -> list[int]:
             low = s & -s
             image[s] = image[s ^ low] | 1 << gamma[low.bit_length() - 1]
         images.append(image)
-    return [s for s, least in enumerate(_orbits(1 << m, images)) if least == s]
+    return _orbits(1 << m, images)
 
 
 # _levels[n]: one (representative, its search result) per class on n
@@ -285,7 +286,9 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
         kept = []
         for p, pc in _levels[-1]:
             pdeg = p.degrees()
-            for nb in _subset_orbit_reps(n - 1, pc.gens):
+            for nb, least in enumerate(_subset_orbits(n - 1, pc.gens)):
+                if least != nb:
+                    continue
                 deg = [d + (nb >> i & 1) for i, d in enumerate(pdeg)]
                 deg.append(nb.bit_count())
                 if deg[-1] < max(deg):

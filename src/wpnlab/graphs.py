@@ -59,6 +59,8 @@ class Graph:
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
+        if not 0 <= n <= MAX_VERTICES:  # before the rows are allocated
+            raise ValueError(f"vertex count {n} outside [0, {MAX_VERTICES}]")
         rows = [0] * n
         for u, v in edges:
             if u == v:

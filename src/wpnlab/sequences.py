@@ -6,7 +6,17 @@ We therefore work over the finite poset of those classes: a sequence is a
 k-tuple of forbidden antichains J_i, and "witnessing" means every
 realizable assignment of part-classes to slots is rejected somewhere.
 That turns minimal-sequence enumeration into minimal hitting set
-enumeration (MMCS-style), which is exact and fast at cycle scale.
+enumeration (MMCS), which is exact and fast at cycle scale.
+
+The poset is built from h's symmetry and its one-vertex deletions alone.
+Masks in one Aut(h)-orbit induce isomorphic subgraphs, so only the least
+mask of each orbit is canonically labelled (224 masks of C12's 4096).
+Each class's first mask is such a least mask, so the classes keep the
+numbering that labelling every mask gives.  The classes below a class
+are the closure of the classes of its first mask's one-vertex deletions,
+so no containment test is made.  A constraint is the union of per-slot
+tables, and an assignment no slot can reject is found per multiset,
+before any ordering of it is expanded.
 """
 
 from __future__ import annotations
@@ -14,8 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .families import FamilySpec, family_subset, member
-from .graphs import Graph, bits, canonical_key, cycle, empty, path
+from .families import FamilySpec, _subset_orbits, family_subset, member
+from .graphs import Graph, _canon_cached, bits, canonical_key, cycle, empty, path
 from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
     is_witnessing_sequence, wpn
 
@@ -31,31 +41,49 @@ class SubgraphPoset:
 
 
 def subgraph_poset(h: Graph) -> SubgraphPoset:
-    from .graphs import contains_induced
+    """The classes of induced subgraphs of h, ordered by induced containment.
 
+    Classes are numbered in order of their first vertex mask.  A vertex
+    permutation in Aut(h) maps each mask to one inducing an isomorphic
+    subgraph, so only the least mask of each Aut(h)-orbit of masks is
+    canonically labelled; every other mask takes its orbit's class.  The
+    first mask of a class is the least mask of its own orbit, so the
+    numbering is the one that labelling every mask would give.
+
+    Every induced subgraph of h[m] is h[s] for some s inside m, and s is
+    reached from m by deleting one vertex at a time.  So ``below[c]`` is c
+    together with the ``below`` sets of the one-vertex deletions of the
+    class's first mask, taken over the classes in order of vertex count:
+    a reflexive and transitive closure with no containment test.
+    """
+    canon = _canon_cached(h.n, h.adj)
+    orbit = _subset_orbits(h.n, canon.gens)
     ids: dict = {}
     reps: list[Graph] = []
+    first: list[int] = []        # first vertex mask of each class
     class_of_mask = []
-    for mask in range(1 << h.n):
-        sub = h.induced(mask)
-        key = canonical_key(sub)
+    for mask, least in enumerate(orbit):
+        if least != mask:
+            class_of_mask.append(class_of_mask[least])
+            continue
+        key = canonical_key(h.induced(mask))
         c = ids.get(key)
         if c is None:
             c = len(reps)
             ids[key] = c
             reps.append(Graph(key[0], key[1]))
+            first.append(mask)
         class_of_mask.append(c)
-    m = len(reps)
+    closed = [{c} for c in range(len(reps))]
+    for c in sorted(range(len(reps)), key=lambda c: reps[c].n):
+        mask = first[c]
+        for v in bits(mask):
+            closed[c] |= closed[class_of_mask[mask ^ 1 << v]]
     clique, stable = FamilySpec.named("clique"), FamilySpec.named("stable")
-    below = [[] for _ in range(m)]
-    for c in range(m):
-        for p in range(m):
-            if reps[p].n <= reps[c].n and contains_induced(reps[c], reps[p]):
-                below[c].append(p)
     return SubgraphPoset(
         reps=reps,
         class_of_mask=class_of_mask,
-        below=below,
+        below=[sorted(s) for s in closed],
         clique_classes={c for c, g in enumerate(reps) if member(clique, g)},
         stable_classes={c for c, g in enumerate(reps) if member(stable, g)},
         trivial_classes={c for c, g in enumerate(reps) if g.n <= 1},
@@ -124,25 +152,32 @@ def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
     """One constraint per (realizable multiset, slot assignment): the set of
     (slot, pattern-class) pairs that would reject it.  Returns None when a
     constraint has no hitters (no witnessing sequence of these slot types).
+
+    ``hit[i][c]`` holds the pairs (i, p) with p below c and allowed in slot
+    i, so the constraint of an assignment is the union of one table entry
+    per slot.
     """
     k = len(types)
-    allowed: list[set[int]] = []
-    for t in types:
+    hit: list[list[frozenset]] = []
+    for i, t in enumerate(types):
         protected = poset.clique_classes if t == "C" else poset.stable_classes
-        allowed.append({c for c in range(len(poset.reps))
-                        if c not in protected and c not in poset.trivial_classes})
+        hit.append([frozenset((i, p) for p in below if p not in protected
+                              and p not in poset.trivial_classes)
+                    for below in poset.below])
+
+    def unhittable(i: int, rest: tuple[int, ...]) -> bool:
+        """Some ordering of rest over slots i.. leaves every slot unhit."""
+        return i == k or any(
+            not hit[i][c] and unhittable(i + 1, rest[:j] + rest[j + 1:])
+            for j, c in enumerate(rest) if c not in rest[:j])
+
+    if any(unhittable(0, ms) for ms in multisets):
+        return None
     constraints: set[frozenset] = set()
     for ms in multisets:
         for assign in _assignments(ms):
-            opts = frozenset(
-                (i, p)
-                for i in range(k)
-                for p in poset.below[assign[i]]
-                if p in allowed[i]
-            )
-            if not opts:
-                return None
-            constraints.add(opts)
+            constraints.add(frozenset().union(
+                *[row[c] for row, c in zip(hit, assign)]))
     # drop subsumed constraints (supersets of another constraint)
     kept: list[frozenset] = []
     for c in sorted(constraints, key=len):
@@ -151,28 +186,42 @@ def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
     return kept
 
 
-def _minimal_hitting_sets(constraints: list[frozenset], budget: list[int]):
-    """Yield all minimal hitting sets (MMCS with criticality pruning)."""
+def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
+    """Yield every minimal hitting set once: MMCS (Murakami & Uno, *Discrete
+    Applied Math.* 170, 2014) with criticality pruning and the candidate
+    set.  A node branches on the elements of one uncovered constraint that
+    are still candidates; those leave the candidate set, and each returns
+    to it after its own branch, so a set is built only in the branch of its
+    last element in that constraint.
+
+    ``nodes`` is [search nodes used, budget], shared across calls; going
+    past the budget raises BudgetExhausted.
+    """
     index: dict = {}
     for ci, c in enumerate(constraints):
         for e in c:
             index.setdefault(e, set()).add(ci)
+    cand = set(index)
 
     def solve(chosen: dict, uncov: set[int]):
-        budget[0] -= 1
-        if budget[0] < 0:
-            raise BudgetExhausted("sequence enumeration budget exhausted")
+        if nodes[0] == nodes[1]:
+            raise BudgetExhausted(
+                f"sequence enumeration budget exhausted: {nodes[0]} search "
+                f"nodes used of a budget of {nodes[1]}")
+        nodes[0] += 1
         if not uncov:
             yield frozenset(chosen)
             return
         ci = min(uncov, key=lambda i: len(constraints[i]))
-        for e in sorted(constraints[ci]):
+        branch = sorted(cand & constraints[ci])
+        cand.difference_update(branch)
+        for e in branch:
             hits = index[e] & uncov
             new_crit = {v: crit - index[e] for v, crit in chosen.items()}
-            if any(not crit for crit in new_crit.values()):
-                continue  # e would make an earlier pick redundant
-            new_crit[e] = set(hits)
-            yield from solve(new_crit, uncov - hits)
+            if all(new_crit.values()):  # else e makes an earlier pick redundant
+                new_crit[e] = hits
+                yield from solve(new_crit, uncov - hits)
+            cand.add(e)
 
     yield from solve({}, set(range(len(constraints))))
 
@@ -193,14 +242,14 @@ def enumerate_really_canonical_sequences(
         raise ValueError("k must be positive")
     poset = subgraph_poset(h)
     multisets = part_class_multisets(h, k, poset)
-    remaining = [budget]
+    nodes = [0, budget]
     solutions: dict[tuple, WitnessSequence] = {}
     for n_clique_slots in range(k + 1):
         types = ("C",) * n_clique_slots + ("S",) * (k - n_clique_slots)
         constraints = _build_constraints(poset, multisets, types)
         if constraints is None:
             continue
-        for hs in _minimal_hitting_sets(constraints, remaining):
+        for hs in _minimal_hitting_sets(constraints, nodes):
             slots: list[list[int]] = [[] for _ in range(k)]
             for (i, p) in hs:
                 slots[i].append(p)
@@ -247,6 +296,13 @@ def _wpn_of(h: Graph) -> int:
     return wpn(h)
 
 
+@lru_cache(maxsize=8)
+def _membership_memo(h: Graph) -> dict:
+    """One find_certificate memo per graph, shared by the witness re-checks
+    of the many sequences classified against it."""
+    return {}
+
+
 def classify_sequence(h: Graph, seq: WitnessSequence) -> str:
     """Match a really canonical witnessing wpn(h)-sequence against the
     case list for its cycle; 'NoMatch' would falsify the classification."""
@@ -258,7 +314,7 @@ def classify_sequence(h: Graph, seq: WitnessSequence) -> str:
         raise ValueError(f"expected a {k}-sequence for C{n}")
     if not is_really_canonical(seq):
         raise ValueError("sequence is not really canonical")
-    if not is_witnessing_sequence(h, seq):
+    if not is_witnessing_sequence(h, seq, _membership_memo(h)):
         raise ValueError("sequence is not witnessing")
     fams = list(seq.parts)
     if n == 6:

@@ -91,13 +91,14 @@ def wpn(h: Graph) -> int:
 # -- sequence validity and certificates --------------------------------------
 
 
-def is_witnessing_sequence(h: Graph, seq: WitnessSequence) -> bool:
+def is_witnessing_sequence(h: Graph, seq: WitnessSequence,
+                           memo: dict | None = None) -> bool:
     """True iff no partition of V(h) into len(seq) (possibly empty) parts
     has every induced part inside its family, i.e. h has no certificate
     against seq.  The exhaustive search is find_certificate's, so repeated
     families cost one branch per distinct arrangement, not one per
-    relabelling of their slots."""
-    return find_certificate(h, seq) is None
+    relabelling of their slots; ``memo`` is passed on to it."""
+    return find_certificate(h, seq, memo) is None
 
 
 def _clique_like(f: FamilySpec) -> bool:
@@ -106,13 +107,18 @@ def _clique_like(f: FamilySpec) -> bool:
     return False
 
 
-def find_certificate(g: Graph, seq: WitnessSequence) -> PartitionCertificate | None:
+def find_certificate(g: Graph, seq: WitnessSequence,
+                     memo: dict | None = None) -> PartitionCertificate | None:
     """A partition of V(g) with part i inside family i, or None.
 
     Backtracking vertex by vertex; heredity makes pruning on the current
     part content sound.  Each probe is ``member`` on the part's vertex
     mask, memoised once per distinct family, so no subgraph is built.
-    Clique-family slots are branched first since they prune fastest.
+    The memo maps each family to its {mask: bool} answers on g.  A caller
+    that searches g against many sequences may pass one ``memo`` dict to
+    every call, so that a family's answers are shared between them; by
+    default each call starts an empty one.  Clique-family slots are
+    branched first since they prune fastest.
 
     Slots with equal families are twins.  A vertex may open an empty slot
     only when the twin before it in branching order is already filled, so
@@ -131,11 +137,11 @@ def find_certificate(g: Graph, seq: WitnessSequence) -> PartitionCertificate | N
         twin = next((j for j in reversed(order[:pos])
                      if seq.parts[j] == seq.parts[i]), None)
         branches.append((i, twin))
-    memos: dict[FamilySpec, dict[int, bool]] = {}
-    memo = [memos.setdefault(f, {}) for f in seq.parts]
+    memos: dict[FamilySpec, dict[int, bool]] = {} if memo is None else memo
+    slot_memo = [memos.setdefault(f, {}) for f in seq.parts]
 
     def part_ok(i: int, mask: int) -> bool:
-        cache = memo[i]
+        cache = slot_memo[i]
         got = cache.get(mask)
         if got is None:
             got = cache[mask] = member(seq.parts[i], g, mask)

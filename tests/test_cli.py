@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import pathlib
@@ -6,11 +8,14 @@ import sys
 
 import jsonschema
 import pytest
+from hypothesis import assume, example, given, settings
 from referencing import Registry, Resource
 
 from wpnlab.census import MAX_UNLABELED_N
-from wpnlab.cli import _decimal, main
+from wpnlab.cli import _decimal, _read_graph, main
 from wpnlab.graphs import cycle, emit_graph6
+
+from .test_graphs import graph_texts
 
 SCHEMA_DIR = pathlib.Path(__file__).resolve().parent.parent / "schemas"
 
@@ -72,6 +77,7 @@ def test_graph_text_wins_over_a_file_of_that_name(tmp_path, monkeypatch, capsys)
     ["count", "--fn", "cographs", "--n", "3000"],
     ["count", "--fn", "bell", "--n", "-1"],
     ["bound", "--n", "3000", "--l", "4"],
+    ["bound", "--n", "999000", "--l", "1000"],
 ], ids=lambda argv: "-".join(argv[1:]))
 def test_large_counts_exit_0_or_2(capsys, argv):
     code = main(argv)
@@ -140,6 +146,44 @@ def test_sequences_json(capsys):
 def test_sequences_budget_exit_code(capsys):
     code = main(["sequences", "--graph", C6, "--k", "2", "--budget", "5"])
     assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("wpn-lab: sequence enumeration budget exhausted: "
+                            "5 search nodes used of a budget of 5\n")
+
+
+def _quiet_main(argv) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+def _at_most(text: str, n: int) -> bool:
+    """The text names no graph, or one on at most n vertices."""
+    try:
+        return _read_graph(text).n <= n
+    except ValueError:
+        return True
+
+
+@given(graph_texts)
+@example("n=1000000000")
+@example("--help")
+@example("-")
+@settings(max_examples=150, deadline=None)
+def test_wpn_on_any_text_exits_0_or_2(text):
+    assume(_at_most(text, 12))
+    assert _quiet_main(["wpn", text]) in (0, 2)
+
+
+@given(graph_texts)
+@example("n=5; edges: 0-1 1-2 2-3 3-4 4-0")
+@example("Bw")
+@settings(max_examples=150, deadline=None)
+def test_sequences_on_any_text_exits_0_2_or_3(text):
+    # Larger graphs are left out for time: the search grows like 2^n.
+    assume(_at_most(text, 5))
+    assert _quiet_main(["sequences", "--graph", text, "--k", "2"]) in (0, 2, 3)
 
 
 def test_verify_claims(capsys):

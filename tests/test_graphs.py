@@ -4,7 +4,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wpnlab.families import _unlabeled_up_to
 from wpnlab.graphs import (
@@ -233,6 +233,30 @@ def test_adjacency_text_roundtrip():
     text = emit_adjacency_text(g)
     assert parse_adjacency_text(text).adj == g.adj
     assert parse_adjacency_text("n=3; edges: 0-1 1-2").adj == path(3).adj
+
+
+# Arbitrary text, text over the graph6 alphabet, and text after "n=".
+graph_texts = st.one_of(
+    st.text(max_size=16),
+    st.text(alphabet=st.characters(min_codepoint=60, max_codepoint=128),
+            max_size=12),
+    st.text(max_size=16).map(lambda t: "n=" + t),
+)
+
+
+@given(graph_texts)
+@example("n=1000000000")      # rejected before its rows are allocated
+@example("n=-3")
+@example("n=3; edges: 0-0")
+@example("~~~~")
+@settings(max_examples=300, deadline=None)
+def test_parsers_raise_only_value_errors(text):
+    for parse in (parse_graph6, parse_adjacency_text):
+        try:
+            g = parse(text)
+        except ValueError:            # Graph6Error is a ValueError
+            continue
+        assert isinstance(g, Graph) and 0 <= g.n <= 64
 
 
 def test_bits_iterator():

@@ -1,8 +1,18 @@
+import itertools
+import random
+from collections import OrderedDict
+
 import pytest
 
+import wpnlab.families
+import wpnlab.graphs
+import wpnlab.sequences
+import wpnlab.witnessing
 from wpnlab.families import FamilySpec, basis_of
-from wpnlab.graphs import canonical_key, clique, cycle, empty, path
+from wpnlab.graphs import Graph, canonical_key, clique, contains_induced, cycle, \
+    empty, path
 from wpnlab.sequences import (
+    _minimal_hitting_sets,
     classify_sequence,
     enumerate_really_canonical_sequences,
     part_class_multisets,
@@ -15,6 +25,8 @@ from wpnlab.witnessing import (
     is_witnessing_sequence,
 )
 
+from .test_graphs import random_graph
+
 
 def test_subgraph_poset_of_c6():
     poset = subgraph_poset(cycle(6))
@@ -25,6 +37,101 @@ def test_subgraph_poset_of_c6():
     assert len(poset.reps) == len(set(canonical_key(g) for g in poset.reps))
     # every subset maps to a class of the right order
     assert poset.class_of_mask[0b111] in range(len(poset.reps))
+
+
+def _relabelled(g: Graph, seed: int) -> Graph:
+    perm = list(range(g.n))
+    random.Random(seed).shuffle(perm)
+    return g.relabel(tuple(perm))
+
+
+POSET_GRAPHS = (
+    [cycle(n) for n in range(3, 13)]
+    + [_relabelled(cycle(12), seed) for seed in (1, 2)]
+    + [random_graph(n, random.Random(seed).getrandbits(n * (n - 1) // 2))
+       for seed, n in enumerate(list(range(9)) * 3)]
+)
+
+
+def test_subgraph_poset_matches_brute_force():
+    """class_of_mask against labelling every induced subgraph, and below
+    against an induced-containment test on every pair of classes."""
+    contains: dict = {}     # the relabelled C12s share their class pairs
+    for h in POSET_GRAPHS:
+        poset = subgraph_poset(h)
+        keys = [canonical_key(g) for g in poset.reps]
+        assert len(set(keys)) == len(keys)
+        assert all(canonical_key(g) == (g.n, g.adj) for g in poset.reps)
+        seen = []
+        for mask in range(1 << h.n):
+            c = poset.class_of_mask[mask]
+            assert keys[c] == canonical_key(h.induced(mask))
+            if c == len(seen):      # classes numbered by first mask
+                seen.append(mask)
+            assert c < len(seen)
+        for c, big in enumerate(poset.reps):
+            assert poset.below[c] == sorted(poset.below[c])
+            for p, small in enumerate(poset.reps):
+                pair = (keys[c], keys[p])
+                if pair not in contains:
+                    contains[pair] = small.n <= big.n and contains_induced(big, small)
+                assert (p in poset.below[c]) == contains[pair], (h, c, p)
+        assert poset.clique_classes == {c for c, g in enumerate(poset.reps)
+                                        if g.edge_count() == g.n * (g.n - 1) // 2}
+        assert poset.stable_classes == {c for c, g in enumerate(poset.reps)
+                                        if g.edge_count() == 0}
+        assert poset.trivial_classes == {c for c, g in enumerate(poset.reps)
+                                         if g.n <= 1}
+
+
+def _subset_orbit_count(h: Graph, perms) -> int:
+    """Orbits of vertex masks under the listed permutations (a whole group)."""
+    return len({min(sum(1 << perm[v] for v in range(h.n) if mask >> v & 1)
+                    for perm in perms)
+                for mask in range(1 << h.n)})
+
+
+def _dihedral(n: int, relabel: list[int]) -> list[list[int]]:
+    """Aut(C_n) as permutations, conjugated by the relabelling."""
+    inv = [0] * n
+    for v, w in enumerate(relabel):
+        inv[w] = v
+    group = []
+    for shift in range(n):
+        for sign in (1, -1):
+            group.append([relabel[(sign * inv[w] + shift) % n] for w in range(n)])
+    return group
+
+
+@pytest.mark.parametrize("n, seed", [(6, None), (9, None), (12, None), (12, 1)])
+def test_subgraph_poset_labels_once_per_subset_orbit(monkeypatch, n, seed):
+    relabel = list(range(n))
+    if seed is not None:
+        random.Random(seed).shuffle(relabel)
+    h = cycle(n).relabel(tuple(relabel))
+    orbits = _subset_orbit_count(h, _dihedral(n, relabel))
+    if n == 12:
+        assert orbits == 224          # binary bracelets of length 12, A000029
+    calls = {"key": 0, "search": 0, "contains": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(wpnlab.graphs, "_canon_cache", OrderedDict())
+    monkeypatch.setattr(wpnlab.graphs, "_canon_search",
+                        counted("search", wpnlab.graphs._canon_search))
+    monkeypatch.setattr(wpnlab.sequences, "canonical_key",
+                        counted("key", wpnlab.sequences.canonical_key))
+    for module in (wpnlab.graphs, wpnlab.families):
+        monkeypatch.setattr(module, "contains_induced",
+                            counted("contains", wpnlab.graphs.contains_induced))
+    subgraph_poset(h)
+    assert calls["contains"] == 0
+    assert calls["key"] <= orbits
+    assert calls["search"] <= orbits
 
 
 def test_part_class_multisets_c6_k2():
@@ -82,8 +189,27 @@ def test_c6_enumeration_properties():
 
 
 def test_budget_exhaustion_is_loud():
-    with pytest.raises(BudgetExhausted):
+    with pytest.raises(BudgetExhausted, match="5 search nodes used of a budget of 5"):
         enumerate_really_canonical_sequences(cycle(6), 2, budget=5)
+
+
+def _brute_minimal_hitting_sets(edges, universe):
+    hitting = [frozenset(s) for r in range(len(universe) + 1)
+               for s in itertools.combinations(universe, r)
+               if all(set(s) & e for e in edges)]
+    return {s for s in hitting if not any(t < s for t in hitting)}
+
+
+def test_minimal_hitting_sets_match_brute_force():
+    rng = random.Random(8)
+    for trial in range(300):
+        universe = list(range(rng.randint(1, 8)))
+        edges = [frozenset(e for e in universe if rng.random() < 0.4)
+                 for _ in range(rng.randint(1, 7))]
+        edges = [e for e in edges if e] or [frozenset(universe)]
+        got = list(_minimal_hitting_sets(edges, [0, 10 ** 6]))
+        assert len(got) == len(set(got)), edges          # each yielded once
+        assert set(got) == _brute_minimal_hitting_sets(edges, universe), edges
 
 
 def test_classify_named_theorem_sequences():
@@ -93,6 +219,26 @@ def test_classify_named_theorem_sequences():
     assert classify_sequence(cycle(8), theorem_sequence("c8")) == "case1"
     assert classify_sequence(cycle(10), theorem_sequence("c10")) == "case1"
     assert classify_sequence(cycle(12), theorem_sequence("c2l:6")) == "case1"
+
+
+def test_witness_rechecks_share_membership_answers(monkeypatch):
+    """The re-checks of every sequence classified against one graph ask
+    each (family, mask) of ``member`` once between them."""
+    h = cycle(8)
+    seqs = enumerate_really_canonical_sequences(h, 3)
+    wpnlab.sequences._membership_memo.cache_clear()
+    wpnlab.sequences._wpn_of(h)
+    asked = []
+    member = wpnlab.witnessing.member
+
+    def recording(f, g, mask=None):
+        if g == h:
+            asked.append((f, mask))
+        return member(f, g, mask)
+
+    monkeypatch.setattr(wpnlab.witnessing, "member", recording)
+    assert all(classify_sequence(h, s) in ("case1", "case2") for s in seqs)
+    assert asked and len(asked) == len(set(asked))
 
 
 def test_classify_all_clique_sequence_for_c6():

@@ -273,3 +273,16 @@ def test_find_certificate_matches_brute_force_and_unpruned_search(seq, g):
         assert cert.partition.assignment == _unpruned_certificate(g, seq)
     else:
         assert _unpruned_certificate(g, seq) is None
+
+
+@given(graphs_up_to_6, st.lists(st.lists(st.sampled_from(
+    [STABLE, CLIQUE, COGIRTH5, CLUSTER, FamilySpec.named("cograph"),
+     FamilySpec.forbidden([empty(3)])]), min_size=1, max_size=3),
+    min_size=1, max_size=12))
+@settings(max_examples=60, deadline=None)
+def test_a_shared_memo_gives_the_same_certificates(g, seqs):
+    memo: dict = {}
+    for parts in seqs:
+        seq = WitnessSequence(tuple(parts))
+        assert find_certificate(g, seq, memo) == find_certificate(g, seq)
+        assert is_witnessing_sequence(g, seq, memo) == is_witnessing_sequence(g, seq)
