@@ -57,8 +57,6 @@ from .counting import (  # noqa: F401
 from .census import (  # noqa: F401
     CensusReport,
     ConfigMismatch,
-    enumerate_labeled,
-    enumerate_unlabeled,
     girth5_census,
 )
 

@@ -57,7 +57,7 @@ from .graphs import (
 from .witnessing import theorem_certifier, theorem_cycle
 
 MAX_LABELED_N = 8
-# A whole n = 9 census (274668 classes) takes 130-155 s and 334 MB on one
+# A whole n = 9 census (274668 classes) takes 130-155 s and 193 MB on one
 # CPU of a 2-vCPU machine; n = 10 has about 12 million classes.
 MAX_UNLABELED_N = 9
 
@@ -125,30 +125,8 @@ def _shard_graphs(n: int, prefix: int, low: int):
         yield trusted(n, tuple(rows))
 
 
-def enumerate_labeled(n: int, visitor) -> None:
-    """Visit every labeled graph on [n] exactly once, in edge-mask order."""
-    if n > MAX_LABELED_N:
-        raise ValueError(
-            f"labeled enumeration capped at n = {MAX_LABELED_N}; "
-            "use unlabeled-weighted mode for larger n")
-    for mask in range(1 << (n * (n - 1) // 2)):
-        visitor(graph_from_edge_mask(n, mask))
-
-
-def _unlabeled_classes(n: int) -> tuple[Graph, ...]:
-    if n > MAX_UNLABELED_N:
-        raise ValueError(f"unlabeled enumeration capped at n = {MAX_UNLABELED_N}")
-    return _unlabeled_level(n)
-
-
 def orbit_size(g: Graph) -> int:
     return math.factorial(g.n) // automorphism_count(g)
-
-
-def enumerate_unlabeled(n: int, visitor) -> None:
-    """Visit one representative per isomorphism class with its orbit size."""
-    for g in _unlabeled_classes(n):
-        visitor(g, orbit_size(g))
 
 
 # -- fast per-graph predicates -------------------------------------------------
@@ -419,8 +397,7 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
                           theorem=theorem, mode=mode,
                           shard_prefix_bits=shard_prefix_bits)
     if mode == "unlabeled":
-        total, hfree, certifiable = _fold(
-            config, ((g, orbit_size(g)) for g in _unlabeled_classes(n)))
+        total, hfree, certifiable = _fold(config, _unlabeled_level(n))
         return CensusReport(config=config, total=total, hfree=hfree,
                             certifiable=certifiable)
 
@@ -478,10 +455,10 @@ def girth5_census(n: int, mode: str = "labeled") -> Girth5Report:
     graphs = heavy_ok = 0
     s_dist: dict[int, int] = {}
     deg_dist: dict[int, int] = {}
-    for g in _unlabeled_classes(n):
+    for g, orbit in _unlabeled_level(n):
         if girth(g) < 5:
             continue
-        w = orbit_size(g) if mode == "labeled" else 1
+        w = orbit if mode == "labeled" else 1
         graphs += w
         if heavy_degree_check(g):
             heavy_ok += w

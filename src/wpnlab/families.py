@@ -257,9 +257,10 @@ def _subset_orbits(m: int, gens) -> list[int]:
     return _orbits(1 << m, images)
 
 
-# _levels[n]: one (representative, its search result) per class on n
-# vertices, generated once per process.
-_levels: list[list[tuple[Graph, Canon]]] = []
+# _levels[n]: the search result of each class on n vertices, in the
+# labelling of its representative (whose rows are the result's rows),
+# generated once per process.
+_levels: list[list[Canon]] = []
 
 
 def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
@@ -277,15 +278,16 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
     label.  So each class is built exactly once, from the class of G minus
     that vertex, and no table of classes seen is needed.  An extension
     whose new vertex lacks the largest invariant is dropped before any
-    canonical search.  The search result of each kept class is carried to
-    its representative, so that ``automorphism_count`` never searches it.
+    canonical search.  A kept class keeps only its search result, carried
+    to its representative's labelling, and its representative is built
+    from those rows when the level is read.
     """
     if not _levels:
         _levels.append([_canonical_copy(_canon_search(Graph(0, ())))])
     for n in range(len(_levels), nmax + 1):
         kept = []
-        for p, pc in _levels[-1]:
-            pdeg = p.degrees()
+        for pc in _levels[-1]:
+            pdeg = [row.bit_count() for row in pc.rows]
             for nb, least in enumerate(_subset_orbits(n - 1, pc.gens)):
                 if least != nb:
                     continue
@@ -294,7 +296,7 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
                 if deg[-1] < max(deg):
                     continue
                 rows = tuple(row | (nb >> i & 1) << (n - 1)
-                             for i, row in enumerate(p.adj)) + (nb,)
+                             for i, row in enumerate(pc.rows)) + (nb,)
                 inv = [(deg[v], sorted(deg[u] for u in bits(rows[v])))
                        for v in range(n)]
                 top = max(inv)
@@ -307,16 +309,22 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
                     orbit = _orbits(n, c.gens)
                     if orbit[u] != orbit[n - 1]:
                         continue
-                kept.append(c)
+                kept.append(_canonical_copy(c))
         kept.sort(key=lambda c: c.rows)
-        _levels.append([_canonical_copy(c) for c in kept])
-    return tuple(g for level in _levels[:nmax + 1] for g, _ in level)
+        _levels.append(kept)
+    trusted = Graph._trusted
+    return tuple(trusted(len(c.rows), c.rows)
+                 for level in _levels[:nmax + 1] for c in level)
 
 
-def _unlabeled_level(n: int) -> tuple[Graph, ...]:
-    """The class representatives on n vertices alone."""
-    _unlabeled_up_to(n)
-    return tuple(g for g, _ in _levels[n])
+def _unlabeled_level(n: int):
+    """Each class on n vertices as (representative, n!/|Aut|).  The weight
+    comes from the class's search result, so no representative is searched
+    again."""
+    reps = _unlabeled_up_to(n)
+    level = _levels[n]
+    fact = math.factorial(n)
+    return zip(reps[len(reps) - len(level):], (fact // c.aut for c in level))
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,8 @@ graph sizes we care about (census n <= 9, cycles up to C14).
 from __future__ import annotations
 
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 MAX_VERTICES = 64
@@ -75,11 +75,12 @@ class Graph:
     def _trusted(n: int, adj: tuple[int, ...]) -> "Graph":
         """Internal constructor for enumerators whose rows are valid by
         construction: it skips the __post_init__ checks.  Input from outside
-        goes through Graph(...), from_edges or parse_graph6."""
+        goes through Graph(...), from_edges or parse_graph6.  The fields
+        are set as the dataclass sets them: writing to ``__dict__`` would
+        make every later read of ``g.adj`` about three times slower."""
         g = object.__new__(Graph)
-        fields = g.__dict__
-        fields["n"] = n
-        fields["adj"] = adj
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "adj", adj)
         return g
 
     def vertex_mask(self) -> int:
@@ -286,8 +287,8 @@ class Canon(NamedTuple):
     lab: tuple[int, ...]                # canonical labelling: v becomes lab[v]
 
 
-# The identity labelling of each vertex count, shared by every cached
-# canonical form.
+# The identity labelling of each vertex count, shared by every search
+# result whose graph is its own canonical form.
 _IDENTITY = tuple(tuple(range(n)) for n in range(MAX_VERTICES + 1))
 
 
@@ -407,46 +408,25 @@ def _canon_search(g: Graph) -> Canon:
     return Canon(best[0], aut, tuple(gens), tuple(best[1]))
 
 
-def _canonical_copy(c: Canon) -> tuple[Graph, Canon]:
-    """The canonical form that ``c`` describes, with a search result of its
-    own: the same rows and |Aut|, the generators carried over by the
-    labelling, and the identity as its labelling.  That result is cached,
-    so the form is never searched."""
+def _canonical_copy(c: Canon) -> Canon:
+    """The search result of the canonical form that ``c`` describes: the
+    same rows and |Aut|, the generators carried over by the labelling, and
+    the identity as its labelling.  The rows are validated here, once."""
     n = len(c.rows)
+    Graph(n, c.rows)  # raises on invalid rows
     gens = []
     for gamma in c.gens:
         image = [0] * n
         for v, u in enumerate(gamma):
             image[c.lab[v]] = c.lab[u]
         gens.append(tuple(image))
-    form = Graph(n, c.rows)
-    own = Canon(c.rows, c.aut, tuple(gens), _IDENTITY[n])
-    _remember((n, c.rows), own)
-    return form, own
+    return Canon(c.rows, c.aut, tuple(gens), _IDENTITY[n])
 
 
-# Large enough to hold every class up to census.MAX_UNLABELED_N (288267
-# classes at n <= 9), so that a census never searches a class twice.
-_CANON_CACHE_SIZE = 1 << 19
-_canon_cache: OrderedDict[tuple[int, tuple[int, ...]], Canon] = OrderedDict()
-
-
-def _remember(key: tuple[int, tuple[int, ...]], c: Canon) -> None:
-    _canon_cache[key] = c
-    if len(_canon_cache) > _CANON_CACHE_SIZE:
-        _canon_cache.popitem(last=False)
-
-
+@lru_cache(maxsize=1 << 16)
 def _canon_cached(n: int, adj: tuple[int, ...]) -> Canon:
     """``_canon_search`` through a least-recently-used cache."""
-    key = (n, adj)
-    c = _canon_cache.get(key)
-    if c is None:
-        c = _canon_search(Graph(n, adj))
-        _remember(key, c)
-    else:
-        _canon_cache.move_to_end(key)
-    return c
+    return _canon_search(Graph(n, adj))
 
 
 def canonical_form(g: Graph) -> Graph:

@@ -8,6 +8,7 @@ partition is a certificate.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .families import FamilySpec, basis_of, member
@@ -255,8 +256,8 @@ def partition_into_parts(g: Graph, parts: list[Graph]) -> list[int] | None:
                 continue
             tried.add(key)
             rest = unused[:pos] + unused[pos + 1:]
-            for combo_mask in _subsets_of_size(pool, parts[i].n - 1):
-                mask = low | combo_mask
+            for combo in itertools.combinations(pool, parts[i].n - 1):
+                mask = low | sum(1 << v for v in combo)
                 if is_isomorphic(g.induced(mask), parts[i]):
                     result[i] = mask
                     if rec(remaining ^ mask, rest):
@@ -266,26 +267,6 @@ def partition_into_parts(g: Graph, parts: list[Graph]) -> list[int] | None:
     if not rec(g.vertex_mask(), nonempty):
         return None
     return result
-
-
-def _subsets_of_size(pool: list[int], size: int):
-    n = len(pool)
-    if size > n:
-        return
-    idx = list(range(size))
-    while True:
-        m = 0
-        for i in idx:
-            m |= 1 << pool[i]
-        yield m
-        for i in reversed(range(size)):
-            if idx[i] != i + n - size:
-                break
-        else:
-            return
-        idx[i] += 1
-        for j in range(i + 1, size):
-            idx[j] = idx[j - 1] + 1
 
 
 _LMH_SMALL = {"P3": path(3), "coP3": path(3).complement(), "E3": empty(3)}

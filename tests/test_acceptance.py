@@ -19,7 +19,6 @@ from wpnlab.census import (
     census,
     girth5_census,
     graph_from_edge_mask,
-    _unlabeled_classes,
     _write_manifest,
 )
 from wpnlab.counting import (
@@ -31,7 +30,8 @@ from wpnlab.counting import (
     iter_set_partitions,
     labeled_cograph_count,
 )
-from wpnlab.families import FamilySpec, heavy_degree_check, girth, member, s_statistic
+from wpnlab.families import FamilySpec, _unlabeled_level, heavy_degree_check, girth, \
+    member, s_statistic
 from wpnlab.graphs import bits, clique, cycle
 from wpnlab.sequences import classify_sequence, enumerate_really_canonical_sequences
 from wpnlab.families import is_restricted
@@ -183,7 +183,7 @@ def test_criterion_09_girth5_heavy_degree_and_s_statistic():
         assert rep.heavy_check_passed == rep.graphs, n
     assert s_statistic(cycle(5)) == 1
     for n in range(1, 9):
-        for g in _unlabeled_classes(n):
+        for g, _ in _unlabeled_level(n):
             if girth(g) < 5:
                 continue
             assert s_statistic(g) == _s_oracle(g)

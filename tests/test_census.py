@@ -16,8 +16,6 @@ from wpnlab.census import (
     canonical_json,
     census,
     config_hash,
-    enumerate_labeled,
-    enumerate_unlabeled,
     girth5_census,
     graph_from_edge_mask,
     has_induced_cycle,
@@ -26,11 +24,11 @@ from wpnlab.census import (
     _fold,
     _pair_order,
     _shard_graphs,
-    _unlabeled_classes,
     _write_manifest,
 )
+from wpnlab.families import _unlabeled_level, _unlabeled_up_to
 from wpnlab.graphs import (
-    _CANON_CACHE_SIZE,
+    canonical_key,
     clique,
     contains_induced,
     cycle,
@@ -45,11 +43,7 @@ from wpnlab.witnessing import (
 )
 
 
-def test_enumerate_labeled_counts():
-    for n in range(7):
-        seen = []
-        enumerate_labeled(n, seen.append)
-        assert len(seen) == 1 << (n * (n - 1) // 2)
+def test_labeled_cap_rejects_larger_n():
     with pytest.raises(ValueError):
         census(9, cycle(6), "c6", mode="labeled")
 
@@ -60,29 +54,37 @@ CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 def test_unlabeled_class_counts():
     for n in range(1, 9):
-        assert len(_unlabeled_classes(n)) == CLASS_COUNTS[n]
+        assert len(list(_unlabeled_level(n))) == CLASS_COUNTS[n]
 
 
-def test_unlabeled_cap_fits_the_canonical_cache():
+def test_unlabeled_cap_rejects_larger_n():
     assert MAX_UNLABELED_N == 9
-    assert sum(CLASS_COUNTS[:MAX_UNLABELED_N + 1]) <= _CANON_CACHE_SIZE
     with pytest.raises(ValueError, match="unlabeled census supports"):
         census(MAX_UNLABELED_N + 1, cycle(6), "c6", mode="unlabeled")
 
 
 def test_class_representatives_are_never_searched(monkeypatch):
-    classes = _unlabeled_classes(7)
+    import wpnlab.families as fam
+
+    _unlabeled_up_to(7)
+    for m in (6, 8):
+        canonical_key(cycle(m))   # the forbidden cycles the configs check
 
     def no_search(g):
         raise AssertionError(f"searched {emit_graph6(g)}")
 
-    monkeypatch.setattr(graphs, "_canon_search", no_search)
-    assert sum(orbit_size(g) for g in classes) == 1 << 21
+    for module in (graphs, fam):
+        monkeypatch.setattr(module, "_canon_search", no_search)
+    assert census(7, cycle(6), "c6", mode="unlabeled").total == 1 << 21
+    assert census(7, cycle(8), "c8", mode="unlabeled").total == 1 << 21
+    labeled = girth5_census(7, mode="labeled")
+    unlabeled = girth5_census(7, mode="unlabeled")
+    assert labeled.graphs > unlabeled.graphs > 0
 
 
 def test_orbit_sizes_sum_to_labeled_count():
     for n in range(1, 9):
-        assert sum(orbit_size(g) for g in _unlabeled_classes(n)) == \
+        assert sum(w for _, w in _unlabeled_level(n)) == \
             1 << (n * (n - 1) // 2)
     assert orbit_size(clique(5)) == 1
     assert orbit_size(cycle(5)) == math.factorial(5) // 10
@@ -182,11 +184,11 @@ def test_soundness_crosscheck_cadence(monkeypatch):
     assert len(calls) == 1 << 6
     calls.clear()
     census(5, cycle(6), "c6", mode="unlabeled")
-    assert len(calls) == len(_unlabeled_classes(5))
+    assert len(calls) == CLASS_COUNTS[5]
     calls.clear()
     # n = 7: every 1024th certifiable class visited, counted without weights
     census(7, cycle(8), "c8", mode="unlabeled")
-    k = sum(1 for g in _unlabeled_classes(7)
+    k = sum(1 for g, _ in _unlabeled_level(7)
             if find_certificate(g, theorem_sequence("c8")) is not None)
     assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
     calls.clear()

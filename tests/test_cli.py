@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -152,6 +153,21 @@ def test_sequences_budget_exit_code(capsys):
                             "5 search nodes used of a budget of 5\n")
 
 
+def test_sequences_past_the_vertex_cap_exits_2(capsys, monkeypatch):
+    import wpnlab.sequences as seq
+
+    def no_poset(h):
+        raise AssertionError("built the subgraph poset")
+
+    monkeypatch.setattr(seq, "subgraph_poset", no_poset)
+    text = f"n={seq.MAX_SEQUENCE_VERTICES + 1}; edges: 0-1"
+    assert main(["sequences", "--graph", text, "--k", "2"]) == 2
+    assert main(["sequences", "--graph", "n=40; edges: 0-1", "--k", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "wpn-lab: sequences supports at most 16 vertices, got 17\n"
+        "wpn-lab: sequences supports at most 16 vertices, got 40\n")
+
+
 def _quiet_main(argv) -> int:
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()):
@@ -190,6 +206,18 @@ def test_verify_claims(capsys):
     code, payload = _run_json(capsys, ["verify-claims", "--cycle", "8"])
     assert code == 0 and payload["ok"]
     _validate(payload, "verify-claims.schema.json")
+
+
+def test_verify_claims_witnesses_are_pinned(capsys):
+    """The JSON reports of C6..C14, witness masks included, as the
+    hand-written subset walk of ``partition_into_parts`` gave them."""
+    out = ""
+    for length in range(6, 15, 2):
+        assert main(["verify-claims", "--cycle", str(length),
+                     "--format", "json"]) == 0
+        out += capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "40b08f05f5ef1943a91b5fc9b8e2cd10317a8b6978dec55fac535441b099b0b2"
 
 
 def test_count_and_bound(capsys):

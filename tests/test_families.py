@@ -100,13 +100,36 @@ def test_levels_are_generated_once(monkeypatch):
     up_to_6 = len(calls)
     assert fam._unlabeled_up_to(5) == expected[:53]
     assert len(calls) == up_to_6
-    assert fam._unlabeled_level(7) == expected[209:]
+    level = list(fam._unlabeled_level(7))
+    assert tuple(g for g, _ in level) == expected[209:]
+    assert sum(w for _, w in level) == 1 << 21
     # n <= 6 then level 7 costs what one fresh n <= 7 run does
     up_to_7 = len(calls)
     calls.clear()
     monkeypatch.setattr(fam, "_levels", [])
     assert fam._unlabeled_up_to(7) == expected
     assert len(calls) == up_to_7 > up_to_6
+
+
+def test_class_levels_retain_few_bytes_per_class(monkeypatch):
+    """Each class keeps its search result alone: no representative graph
+    and no canonical-cache entry beside it."""
+    import tracemalloc
+
+    import wpnlab.families as fam
+    import wpnlab.graphs as gr
+
+    monkeypatch.setattr(fam, "_levels", [])
+    gr._canon_cached.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        classes = len(fam._unlabeled_up_to(7))
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert classes == 1253
+    assert retained <= 700 * classes, retained / classes
 
 
 def test_membership_is_pinned():

@@ -1,0 +1,48 @@
+"""Smoke tests: each script in scripts/ runs on a small input, exits 0 and
+prints its table."""
+
+import os
+import pathlib
+import subprocess
+import sys
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def _run(script: str, *args: str) -> list[str]:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_census_sweep_prints_one_row_per_n():
+    lines = _run("census_sweep.py", "--nmin", "3", "--nmax", "5")
+    assert lines[0].split() == ["n", "total", "hfree", "certifiable",
+                                "fraction", "secs"]
+    rows = [line.split() for line in lines[1:]]
+    assert [r[:4] for r in rows] == [["3", "8", "8", "8"],
+                                     ["4", "64", "64", "64"],
+                                     ["5", "1024", "1024", "1024"]]
+
+
+def test_partition_trends_prints_the_bell_ratio_mean():
+    lines = _run("partition_trends.py", "--n", "20", "--samples", "200",
+                 "--seed", "1")
+    assert lines[0] == "n=20, samples=200"
+    assert lines[1].startswith("mean #blocks")
+    assert "exact 8.1808" in lines[1]
+    assert len(lines) == 4
+
+
+def test_sequence_survey_tallies_c6_and_c8():
+    lines = _run("sequence_survey.py", "--max-cycle", "8")
+    assert len(lines) == 2
+    assert lines[0].startswith(
+        "C6 (k=2): 13 sequences, {'case1': 3, 'case2': 8, 'case3': 1, 'case4': 1}")
+    assert lines[1].startswith(
+        "C8 (k=3): 19 sequences, {'case1': 17, 'case2': 2}")

@@ -1,6 +1,5 @@
 import itertools
 import random
-from collections import OrderedDict
 
 import pytest
 
@@ -120,7 +119,7 @@ def test_subgraph_poset_labels_once_per_subset_orbit(monkeypatch, n, seed):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(wpnlab.graphs, "_canon_cache", OrderedDict())
+    wpnlab.graphs._canon_cached.cache_clear()
     monkeypatch.setattr(wpnlab.graphs, "_canon_search",
                         counted("search", wpnlab.graphs._canon_search))
     monkeypatch.setattr(wpnlab.sequences, "canonical_key",
