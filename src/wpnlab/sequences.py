@@ -15,19 +15,22 @@ Each class's first mask is such a least mask, so the classes keep the
 numbering that labelling every mask gives.  The classes below a class
 are the closure of the classes of its first mask's one-vertex deletions,
 so no containment test is made.  A constraint is the union of per-slot
-tables, and an assignment no slot can reject is found per multiset,
-before any ordering of it is expanded.
+tables.  A split of V(h) into c cliques and k - c stable sets is an
+assignment that c clique slots and k - c stable slots cannot reject, so
+only the slot types that splits_into finds no split for are searched, and
+no poset is built when there are none.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .families import FamilySpec, _subset_orbits, family_subset, member
 from .graphs import Graph, _canon_cached, bits, canonical_key, cycle, empty, path
 from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
-    is_witnessing_sequence, wpn
+    is_witnessing_sequence, splits_into, wpn
 
 # The subgraph poset keeps an entry per vertex mask of h and the set of
 # classes below each class.  On a random G(16, 1/2) it took 18 CPU s and
@@ -43,7 +46,6 @@ class SubgraphPoset:
     below: list[list[int]]       # below[c] = class ids p with p induced in c
     clique_classes: set[int]
     stable_classes: set[int]
-    trivial_classes: set[int]    # K0 and K1: in every hereditary family
 
 
 def subgraph_poset(h: Graph) -> SubgraphPoset:
@@ -92,7 +94,6 @@ def subgraph_poset(h: Graph) -> SubgraphPoset:
         below=[sorted(s) for s in closed],
         clique_classes={c for c, g in enumerate(reps) if member(clique, g)},
         stable_classes={c for c, g in enumerate(reps) if member(stable, g)},
-        trivial_classes={c for c, g in enumerate(reps) if g.n <= 1},
     )
 
 
@@ -134,54 +135,23 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
     return result
 
 
-def _assignments(multiset: tuple[int, ...]) -> set[tuple[int, ...]]:
-    """Distinct orderings of a sorted k-tuple."""
-    out: set[tuple[int, ...]] = set()
-
-    def rec(prefix: tuple[int, ...], remaining: list[int]) -> None:
-        if not remaining:
-            out.add(prefix)
-            return
-        seen = set()
-        for i, c in enumerate(remaining):
-            if c in seen:
-                continue
-            seen.add(c)
-            rec(prefix + (c,), remaining[:i] + remaining[i + 1:])
-
-    rec((), list(multiset))
-    return out
-
-
 def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
-                       types: tuple[str, ...]) -> list[frozenset] | None:
+                       types: tuple[str, ...]) -> list[frozenset]:
     """One constraint per (realizable multiset, slot assignment): the set of
-    (slot, pattern-class) pairs that would reject it.  Returns None when a
-    constraint has no hitters (no witnessing sequence of these slot types).
+    (slot, pattern-class) pairs that would reject it.
 
     ``hit[i][c]`` holds the pairs (i, p) with p below c and allowed in slot
     i, so the constraint of an assignment is the union of one table entry
     per slot.
     """
-    k = len(types)
     hit: list[list[frozenset]] = []
     for i, t in enumerate(types):
         protected = poset.clique_classes if t == "C" else poset.stable_classes
-        hit.append([frozenset((i, p) for p in below if p not in protected
-                              and p not in poset.trivial_classes)
+        hit.append([frozenset((i, p) for p in below if p not in protected)
                     for below in poset.below])
-
-    def unhittable(i: int, rest: tuple[int, ...]) -> bool:
-        """Some ordering of rest over slots i.. leaves every slot unhit."""
-        return i == k or any(
-            not hit[i][c] and unhittable(i + 1, rest[:j] + rest[j + 1:])
-            for j, c in enumerate(rest) if c not in rest[:j])
-
-    if any(unhittable(0, ms) for ms in multisets):
-        return None
     constraints: set[frozenset] = set()
     for ms in multisets:
-        for assign in _assignments(ms):
+        for assign in set(itertools.permutations(ms)):
             constraints.add(frozenset().union(
                 *[row[c] for row, c in zip(hit, assign)]))
     # drop subsumed constraints (supersets of another constraint)
@@ -249,15 +219,18 @@ def enumerate_really_canonical_sequences(
     if h.n > MAX_SEQUENCE_VERTICES:
         raise ValueError(f"sequences supports at most {MAX_SEQUENCE_VERTICES} "
                          f"vertices, got {h.n}")
+    # c clique slots and k - c stable slots can witness only when V(h) has
+    # no split into c cliques and k - c stable sets
+    slot_cliques = [c for c in range(k + 1) if not splits_into(h, c, k - c)]
+    if not slot_cliques:
+        return []
     poset = subgraph_poset(h)
     multisets = part_class_multisets(h, k, poset)
     nodes = [0, budget]
     solutions: dict[tuple, WitnessSequence] = {}
-    for n_clique_slots in range(k + 1):
-        types = ("C",) * n_clique_slots + ("S",) * (k - n_clique_slots)
+    for c in slot_cliques:
+        types = ("C",) * c + ("S",) * (k - c)
         constraints = _build_constraints(poset, multisets, types)
-        if constraints is None:
-            continue
         for hs in _minimal_hitting_sets(constraints, nodes):
             slots: list[list[int]] = [[] for _ in range(k)]
             for (i, p) in hs:
@@ -345,8 +318,6 @@ def classify_sequence(h: Graph, seq: WitnessSequence) -> str:
                 return "case4"
         return "NoMatch"
     if n == 8:
-        import itertools
-
         for a, b, c in itertools.permutations(fams):
             if (_sub(a, "split-join-components-co")
                     and _sub(b, "cliques-or-tiny") and _sub(c, "cliques-or-tiny")):

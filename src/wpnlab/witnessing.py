@@ -75,18 +75,25 @@ def wpn(h: Graph) -> int:
 
     Parts may be empty, so the least s that works with c cliques never
     grows with c, and wpn is the largest c + s_min(c) - 1.  The search
-    walks that staircase from c = 0 with find_certificate, so it makes
+    walks that staircase from c = 0 with splits_into, so it makes
     O(n) searches, one failing search per c.
     """
     best, s = 0, h.n  # n singleton stable sets always partition V(h)
     for c in range(h.n + 1):
-        while s and c + s > 1 and find_certificate(h, WitnessSequence(
-                (_CLIQUE,) * c + (_STABLE,) * (s - 1))) is not None:
+        while s and c + s > 1 and splits_into(h, c, s - 1):
             s -= 1
         if s == 0:
             break
         best = max(best, c + s - 1)
     return best
+
+
+def splits_into(h: Graph, cliques: int, stables: int) -> bool:
+    """True iff V(h) splits into the given numbers of cliques and stable
+    sets, parts possibly empty (at least one part in all): find_certificate
+    against that sequence of families."""
+    return find_certificate(h, WitnessSequence(
+        (_CLIQUE,) * cliques + (_STABLE,) * stables)) is not None
 
 
 # -- sequence validity and certificates --------------------------------------

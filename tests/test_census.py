@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -8,6 +9,7 @@ import pytest
 
 from wpnlab import graphs
 from wpnlab.census import (
+    MAX_LABELED_N,
     MAX_UNLABELED_N,
     CensusConfig,
     ConfigMismatch,
@@ -44,8 +46,10 @@ from wpnlab.witnessing import (
 
 
 def test_labeled_cap_rejects_larger_n():
-    with pytest.raises(ValueError):
-        census(9, cycle(6), "c6", mode="labeled")
+    assert MAX_LABELED_N == 7
+    for n in (8, 9):
+        with pytest.raises(ValueError, match="labeled census supports"):
+            census(n, cycle(6), "c6", mode="labeled")
 
 
 # graphs on n unlabeled vertices: OEIS A000088
@@ -305,6 +309,73 @@ def test_manifest_resume(tmp_path):
     assert resumed.to_dict() == full.to_dict()
 
 
+@pytest.fixture(scope="module")
+def uninterrupted_n6(tmp_path_factory):
+    """The report and manifest bytes of a whole labeled n = 6 C6 run."""
+    path = tmp_path_factory.mktemp("whole") / "manifest.json"
+    report = census(6, cycle(6), "c6", manifest_path=str(path))
+    return canonical_json(report.to_dict()), path.read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_killed_labeled_run_keeps_its_finished_shards(tmp_path, monkeypatch,
+                                                      uninterrupted_n6, threads):
+    """A run whose third shard dies leaves a manifest of finished shards
+    only; resuming from it gives the uninterrupted run's report and
+    manifest, byte for byte."""
+    import multiprocessing
+
+    import wpnlab.census as census_module
+
+    full_report, full_manifest = uninterrupted_n6
+    expected = {s["prefix"]: s for s in json.loads(full_manifest)["shards"]}
+    real = census_module._count_shard
+    calls = [0]
+
+    def dies_third(config, prefix):
+        calls[0] += 1
+        if calls[0] == 3:
+            raise RuntimeError("shard killed")
+        return real(config, prefix)
+
+    monkeypatch.setattr(census_module, "_count_shard", dies_third)
+    # pool workers see the patched module only when they are forked
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        multiprocessing.get_context("fork").Pool)
+    path = tmp_path / "manifest.json"
+    with pytest.raises(RuntimeError, match="shard killed"):
+        census(6, cycle(6), "c6", threads=threads, manifest_path=str(path))
+    shards = json.loads(path.read_text())["shards"]
+    assert 2 <= len(shards) < len(expected)
+    if threads == 1:
+        assert [s["prefix"] for s in shards] == [0, 1]
+    assert all(s == expected[s["prefix"]] for s in shards)
+    monkeypatch.setattr(census_module, "_count_shard", real)
+    resumed = census(6, cycle(6), "c6", threads=threads, manifest_path=str(path))
+    assert canonical_json(resumed.to_dict()) == full_report
+    assert path.read_bytes() == full_manifest
+
+
+def test_slow_labeled_run_rewrites_its_manifest_as_shards_finish(tmp_path,
+                                                                 monkeypatch):
+    """With a second between shards the manifest is rewritten after each
+    one, so a killed run loses only the shards in progress."""
+    import wpnlab.census as census_module
+
+    clock = itertools.count(0, 1)
+    monkeypatch.setattr(census_module, "monotonic", lambda: next(clock))
+    sizes = []
+    write = census_module._write_manifest
+
+    def counting(path, config, shards):
+        sizes.append(len(shards))
+        write(path, config, shards)
+
+    monkeypatch.setattr(census_module, "_write_manifest", counting)
+    census(5, cycle(6), "c6", manifest_path=str(tmp_path / "manifest.json"))
+    assert sizes == list(range(1, 65)) + [64]
+
+
 def test_manifest_config_mismatch(tmp_path):
     path = str(tmp_path / "manifest.json")
     census(5, cycle(6), "c6", manifest_path=path)
@@ -338,5 +409,6 @@ def test_girth5_census_n5():
 def test_girth5_census_rejects_bad_n():
     with pytest.raises(ValueError):
         girth5_census(0)
-    with pytest.raises(ValueError):
-        girth5_census(9, mode="labeled")
+    for mode in ("labeled", "unlabeled"):
+        with pytest.raises(ValueError, match="girth-5 census supports"):
+            girth5_census(MAX_UNLABELED_N + 1, mode=mode)

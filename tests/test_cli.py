@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from referencing import Registry, Resource
 
-from wpnlab.census import MAX_UNLABELED_N
+from wpnlab.census import MAX_LABELED_N, MAX_UNLABELED_N
 from wpnlab.cli import _decimal, _read_graph, main
 from wpnlab.graphs import cycle, emit_graph6
 
@@ -364,6 +364,13 @@ def test_main_returns_argparse_exit_codes(capsys):
     assert "wpn-lab" in capsys.readouterr().out
     assert main(["census", "--n", "5"]) == 2
     assert main(["no-such-command"]) == 2
+
+
+def test_labeled_census_past_the_cap_exits_2(capsys):
+    argv = ["census", "--n", str(MAX_LABELED_N + 1), "--forbid", C6,
+            "--theorem", "c6", "--mode", "labeled"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("wpn-lab: labeled census")
 
 
 def test_unlabeled_census_past_the_cap_exits_2(capsys):

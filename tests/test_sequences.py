@@ -11,6 +11,7 @@ from wpnlab.families import FamilySpec, basis_of
 from wpnlab.graphs import Graph, canonical_key, clique, contains_induced, cycle, \
     empty, path
 from wpnlab.sequences import (
+    _build_constraints,
     _minimal_hitting_sets,
     classify_sequence,
     enumerate_really_canonical_sequences,
@@ -22,6 +23,7 @@ from wpnlab.witnessing import (
     WitnessSequence,
     is_really_canonical,
     is_witnessing_sequence,
+    splits_into,
 )
 
 from .test_graphs import random_graph
@@ -79,8 +81,9 @@ def test_subgraph_poset_matches_brute_force():
                                         if g.edge_count() == g.n * (g.n - 1) // 2}
         assert poset.stable_classes == {c for c, g in enumerate(poset.reps)
                                         if g.edge_count() == 0}
-        assert poset.trivial_classes == {c for c, g in enumerate(poset.reps)
-                                         if g.n <= 1}
+        # K0 and K1 are in every hereditary family, so no slot rejects them
+        tiny = {c for c, g in enumerate(poset.reps) if g.n <= 1}
+        assert tiny <= poset.clique_classes & poset.stable_classes
 
 
 def _subset_orbit_count(h: Graph, perms) -> int:
@@ -145,6 +148,38 @@ def test_part_class_multisets_c6_k2():
     c6 = next(i for i, r in enumerate(poset.reps) if r.n == 6)
     k0 = next(i for i, r in enumerate(poset.reps) if r.n == 0)
     assert tuple(sorted((c6, k0))) in ms
+
+
+SPLIT_GRAPHS = (
+    [cycle(n) for n in range(3, 13)]
+    + [random_graph(n, random.Random(100 + seed).getrandbits(n * (n - 1) // 2))
+       for seed, n in enumerate(list(range(1, 9)) * 4)]
+)
+
+
+def test_split_test_matches_the_empty_constraint():
+    """c clique slots and k - c stable slots have an assignment no slot
+    can reject, the empty constraint, exactly when V(h) splits into c
+    cliques and k - c stable sets."""
+    for h in SPLIT_GRAPHS:
+        poset = subgraph_poset(h)
+        for k in range(1, 6):
+            multisets = part_class_multisets(h, k, poset)
+            for c in range(k + 1):
+                types = ("C",) * c + ("S",) * (k - c)
+                constraints = _build_constraints(poset, multisets, types)
+                assert (constraints == [frozenset()]) == splits_into(h, c, k - c), \
+                    (h, k, c)
+
+
+def test_no_poset_when_no_slot_type_can_witness(monkeypatch):
+    """wpn(C12) = 5, so every type vector of 6 slots splits C12 and the
+    enumeration ends before the subgraph poset is built."""
+    def refuse(h):
+        raise AssertionError("subgraph_poset called")
+
+    monkeypatch.setattr(wpnlab.sequences, "subgraph_poset", refuse)
+    assert enumerate_really_canonical_sequences(cycle(12), 6) == []
 
 
 def test_c3_enumeration_contains_double_stable():
