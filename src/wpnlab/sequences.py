@@ -14,11 +14,19 @@ mask of each orbit is canonically labelled (224 masks of C12's 4096).
 Each class's first mask is such a least mask, so the classes keep the
 numbering that labelling every mask gives.  The classes below a class
 are the closure of the classes of its first mask's one-vertex deletions,
-so no containment test is made.  A constraint is the union of per-slot
-tables.  A split of V(h) into c cliques and k - c stable sets is an
-assignment that c clique slots and k - c stable slots cannot reject, so
-only the slot types that splits_into finds no split for are searched, and
-no poset is built when there are none.
+so no containment test is made.
+
+The realizable multisets of part classes are memoised by the class of the
+vertex set being split, since isomorphic vertex sets split into the same
+multisets.  Slots of one type are interchangeable, so the constraints are
+built once per multiset and choice of the classes on the clique slots, not
+once per ordering; only the minimal ones are expanded over the slot
+permutations.  MMCS takes them in an order defined by their content, which
+fixes its node count (the budget's unit) but not its hitting sets.  A split
+of V(h) into c cliques and k - c stable sets is an assignment that c clique
+slots and k - c stable slots cannot reject, so only the slot types that
+splits_into finds no split for are searched, and no poset is built when
+there are none.
 """
 
 from __future__ import annotations
@@ -99,7 +107,12 @@ def subgraph_poset(h: Graph) -> SubgraphPoset:
 
 def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[int, ...]]:
     """Sorted k-tuples of part classes realizable by partitioning V(h) into
-    at most k blocks (missing blocks padded with the 0-vertex class)."""
+    at most k blocks (missing blocks padded with the 0-vertex class).
+
+    The memo is keyed by the class of the mask being split: an isomorphism
+    from h[m] to h[m'] maps each partition of m to a partition of m' with
+    the same multiset of part classes.
+    """
     empty_class = poset.class_of_mask[0]
     cls = poset.class_of_mask
     memo: dict[tuple[int, int], set[tuple[int, ...]]] = {}
@@ -109,7 +122,7 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
             return {()}
         if blocks == 0:
             return set()
-        key = (mask, blocks)
+        key = (cls[mask], blocks)
         got = memo.get(key)
         if got is not None:
             return got
@@ -135,31 +148,65 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
     return result
 
 
+def _fits(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
+    """Whether some bijection of slots sends each pattern mask of small to
+    a mask of big that contains it.  ``reach`` holds the sets of slots of
+    big that the masks placed so far can fill; empty masks fit anywhere."""
+    reach = {0}
+    for m in small:
+        if m:
+            reach = {used | 1 << i for used in reach for i, b in enumerate(big)
+                     if not used >> i & 1 and m & ~b == 0}
+            if not reach:
+                return False
+    return True
+
+
 def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
                        types: tuple[str, ...]) -> list[frozenset]:
-    """One constraint per (realizable multiset, slot assignment): the set of
-    (slot, pattern-class) pairs that would reject it.
+    """The minimal constraints over every realizable multiset and every
+    assignment of its classes to the slots.  The constraint of an
+    assignment is the set of (slot, pattern-class) pairs that would reject
+    it: the pairs (i, p) with p below slot i's class and allowed in slot i.
+    They are sorted by size, then by their sorted pairs compared as
+    (-slot, -class), an order fixed by their content alone.
 
-    ``hit[i][c]`` holds the pairs (i, p) with p below c and allowed in slot
-    i, so the constraint of an assignment is the union of one table entry
-    per slot.
+    A constraint depends on a slot only through its type and its pattern
+    set, so permuting slots of one type only relabels the slots of a
+    constraint.  One representative is built per (multiset, choice of the
+    classes that fill the clique slots), as the sorted pattern masks of the
+    clique slots and of the stable slots.  Taken in order of size, a
+    representative is kept unless a kept one maps into it under a
+    type-preserving slot bijection, and only the kept ones are expanded
+    over their distinct slot permutations: those expansions are exactly
+    the minimal constraints over all assignments.
     """
-    hit: list[list[frozenset]] = []
-    for i, t in enumerate(types):
-        protected = poset.clique_classes if t == "C" else poset.stable_classes
-        hit.append([frozenset((i, p) for p in below if p not in protected)
-                    for below in poset.below])
-    constraints: set[frozenset] = set()
+    pattern = {t: [sum(1 << p for p in below if p not in protected)
+                   for below in poset.below]
+               for t, protected in (("C", poset.clique_classes),
+                                    ("S", poset.stable_classes))}
+    at = {t: [i for i, u in enumerate(types) if u == t] for t in pattern}
+    reps: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for ms in multisets:
-        for assign in set(itertools.permutations(ms)):
-            constraints.add(frozenset().union(
-                *[row[c] for row, c in zip(hit, assign)]))
-    # drop subsumed constraints (supersets of another constraint)
-    kept: list[frozenset] = []
-    for c in sorted(constraints, key=len):
-        if not any(other <= c for other in kept):
-            kept.append(c)
-    return kept
+        for chosen in itertools.combinations(range(len(ms)), len(at["C"])):
+            reps.add((tuple(sorted(pattern["C"][ms[i]] for i in chosen)),
+                      tuple(sorted(pattern["S"][c] for i, c in enumerate(ms)
+                                   if i not in chosen))))
+
+    def size(rep) -> int:
+        return sum(m.bit_count() for part in rep for m in part)
+
+    kept: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    for rep in sorted(reps, key=size):
+        if not any(_fits(c, rep[0]) and _fits(s, rep[1]) for c, s in kept):
+            kept.append(rep)
+    constraints = {
+        frozenset((i, p) for i, m in zip(at["C"] + at["S"], c + s) for p in bits(m))
+        for rc, rs in kept
+        for c in set(itertools.permutations(rc))
+        for s in set(itertools.permutations(rs))}
+    return sorted(constraints, key=lambda c: (
+        len(c), [(-i, -p) for i, p in sorted(c)]))
 
 
 def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):

@@ -150,6 +150,42 @@ def test_part_class_multisets_c6_k2():
     assert tuple(sorted((c6, k0))) in ms
 
 
+def _seeded_graph(n: int, seed: int) -> Graph:
+    return random_graph(n, random.Random(seed).getrandbits(n * (n - 1) // 2))
+
+
+def _brute_part_class_multisets(h: Graph, k: int, poset) -> set:
+    """Every set partition of V(h) into at most k blocks, walked as a
+    restricted growth string, as the sorted tuple of its block classes
+    padded with the 0-vertex class."""
+    out = set()
+
+    def walk(v: int, blocks: list[int]) -> None:
+        if v == h.n:
+            classes = [poset.class_of_mask[b] for b in blocks]
+            classes += [poset.class_of_mask[0]] * (k - len(blocks))
+            out.add(tuple(sorted(classes)))
+            return
+        for i in range(len(blocks)):
+            blocks[i] |= 1 << v
+            walk(v + 1, blocks)
+            blocks[i] ^= 1 << v
+        if len(blocks) < k:
+            walk(v + 1, blocks + [1 << v])
+
+    walk(0, [])
+    return out
+
+
+@pytest.mark.parametrize("h", [_relabelled(cycle(8), 3)] + [
+    _seeded_graph(n, 200 + seed) for seed, n in enumerate([0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8])])
+def test_part_class_multisets_match_every_set_partition(h):
+    poset = subgraph_poset(h)
+    for k in range(1, 5):
+        assert part_class_multisets(h, k, poset) == \
+            _brute_part_class_multisets(h, k, poset), (h, k)
+
+
 SPLIT_GRAPHS = (
     [cycle(n) for n in range(3, 13)]
     + [random_graph(n, random.Random(100 + seed).getrandbits(n * (n - 1) // 2))
@@ -170,6 +206,56 @@ def test_split_test_matches_the_empty_constraint():
                 constraints = _build_constraints(poset, multisets, types)
                 assert (constraints == [frozenset()]) == splits_into(h, c, k - c), \
                     (h, k, c)
+
+
+def _constraints_of_every_ordering(poset, multisets, types) -> list[frozenset]:
+    """The reference builder: the constraint of every ordering of every
+    multiset, then the ones no other constraint lies inside."""
+    hit = []
+    for i, t in enumerate(types):
+        protected = poset.clique_classes if t == "C" else poset.stable_classes
+        hit.append([frozenset((i, p) for p in below if p not in protected)
+                    for below in poset.below])
+    constraints = set()
+    for ms in multisets:
+        for assign in set(itertools.permutations(ms)):
+            constraints.add(frozenset().union(
+                *[row[c] for row, c in zip(hit, assign)]))
+    kept = []
+    for c in sorted(constraints, key=len):
+        if not any(other <= c for other in kept):
+            kept.append(c)
+    return kept
+
+
+def test_constraints_match_every_ordering():
+    """The kept constraints are those of the reference builder, in order of
+    size and then of their (slot, class) pairs, largest first.  Every type
+    tuple is tried on graphs with at most 8 vertices, and the tuples the
+    enumerator passes (clique slots first) on the larger cycles."""
+    for h in SPLIT_GRAPHS:
+        poset = subgraph_poset(h)
+        for k in range(1, 6):
+            multisets = part_class_multisets(h, k, poset)
+            if h.n <= 8:
+                tuples = list(itertools.product("CS", repeat=k))
+            else:
+                tuples = [("C",) * c + ("S",) * (k - c) for c in range(k + 1)]
+            for types in tuples:
+                got = _build_constraints(poset, multisets, types)
+                want = _constraints_of_every_ordering(poset, multisets, types)
+                assert len(got) == len(want) and set(got) == set(want), (h, types)
+                assert got == sorted(got, key=lambda c: (
+                    len(c), [(-i, -p) for i, p in sorted(c)]))
+
+
+def test_c12_search_node_count_is_pinned():
+    """The budget counts MMCS nodes, and their number follows the order of
+    the kept constraints: C12 with k = 5 takes 16898 of them."""
+    h = cycle(12)
+    assert len(enumerate_really_canonical_sequences(h, 5, budget=16898)) == 31
+    with pytest.raises(BudgetExhausted, match="16897 search nodes used"):
+        enumerate_really_canonical_sequences(h, 5, budget=16897)
 
 
 def test_no_poset_when_no_slot_type_can_witness(monkeypatch):
@@ -220,6 +306,106 @@ def test_c6_enumeration_properties():
             ps = f.patterns
             assert not any(p is not q and contains_induced(p, q)
                            for p in ps for q in ps)
+
+
+def _brute_minimal_sequences(h: Graph, k: int) -> set:
+    """The minimal really canonical witnessing k-sequences of h, up to slot
+    order, from every multiset of k antichains of nonempty induced-subgraph
+    classes of h.  Witnessing is checked over all k^n assignments of
+    vertices to slots, with no poset and no certificate search."""
+    reps: dict = {}
+    class_of = []
+    for mask in range(1 << h.n):
+        key = canonical_key(h.induced(mask))
+        reps.setdefault(key, h.induced(mask))
+        class_of.append(key)
+    keys = sorted(key for key in reps if key[0] > 0)
+    contains = {(big, small): small[0] <= big[0] and
+                contains_induced(reps[big], reps[small])
+                for big in reps for small in keys}
+
+    def is_clique(key) -> bool:
+        return reps[key].edge_count() == key[0] * (key[0] - 1) // 2
+
+    antichains = []
+
+    def grow(i: int, chosen: tuple) -> None:
+        if i == len(keys):
+            # really canonical: not both a clique and a stable pattern
+            if not (any(map(is_clique, chosen))
+                    and any(reps[p].edge_count() == 0 for p in chosen)):
+                antichains.append(chosen)
+            return
+        grow(i + 1, chosen)
+        p = keys[i]
+        if not any(contains[p, q] or contains[q, p] for q in chosen):
+            grow(i + 1, chosen + (p,))
+
+    grow(0, ())
+    # gets[i][mask]: bitset of the assignments that put exactly mask in slot i
+    gets = [[0] * (1 << h.n) for _ in range(k)]
+    for a, slot_of in enumerate(itertools.product(range(k), repeat=h.n)):
+        masks = [0] * k
+        for v, i in enumerate(slot_of):
+            masks[i] |= 1 << v
+        for i, mask in enumerate(masks):
+            gets[i][mask] |= 1 << a
+
+    def allowed(i: int, basis: tuple) -> int:
+        """The assignments whose slot-i part avoids every pattern of basis."""
+        out = 0
+        for mask in range(1 << h.n):
+            if not any(contains[class_of[mask], p] for p in basis):
+                out |= gets[i][mask]
+        return out
+
+    def witnessing(seq) -> bool:
+        every = (1 << k ** h.n) - 1
+        for i, basis in enumerate(seq):
+            every &= allowed(i, basis)
+        return every == 0
+
+    table = [[allowed(i, basis) for basis in antichains] for i in range(k)]
+    found = set()
+
+    def walk(start: int, seq: tuple, every: int) -> None:
+        """Extend seq by antichains from index start on, in slot order, so
+        each multiset is met once; every holds the assignments still allowed."""
+        i = len(seq)
+        for a in range(start, len(antichains)):
+            rest = every & table[i][a]
+            if i + 1 < k:
+                walk(a, seq + (antichains[a],), rest)
+            elif rest == 0:
+                full = seq + (antichains[a],)
+                if not any(witnessing(full[:j] + (basis[:q] + basis[q + 1:],)
+                                      + full[j + 1:])
+                           for j, basis in enumerate(full)
+                           for q in range(len(basis))):
+                    found.add(tuple(sorted(full)))
+
+    walk(0, (), (1 << k ** h.n) - 1)
+    return found
+
+
+ORACLE_CASES = (
+    [(cycle(n), 2) for n in range(3, 9)] + [(path(4), 2), (path(5), 2)]
+    + [(_seeded_graph(n, 300 + 3 * n + k), k) for n in range(1, 7) for k in range(1, 4)]
+    # random graphs of wpn 3, so that k = 3 has sequences
+    + [(_seeded_graph(n, seed), 3) for n, seed in ((5, 413), (5, 458), (6, 403),
+                                                  (6, 405), (6, 412))]
+)
+
+
+@pytest.mark.parametrize("h, k", ORACLE_CASES)
+def test_sequences_match_the_brute_force_oracle(h, k):
+    """No minimal really canonical witnessing sequence is missing, and
+    none is extra or repeated."""
+    seqs = enumerate_really_canonical_sequences(h, k)
+    got = [tuple(sorted(tuple(sorted(canonical_key(p) for p in f.patterns))
+                        for f in s.parts)) for s in seqs]
+    assert len(got) == len(set(got))
+    assert set(got) == _brute_minimal_sequences(h, k), (h, k)
 
 
 def test_budget_exhaustion_is_loud():
