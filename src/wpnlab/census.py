@@ -13,11 +13,10 @@ labeled totals exactly; agreement of the two modes is itself a census
 invariant for n <= 7.  Unlabeled runs are serial and take no shard count
 or manifest.
 
-For c6 the fold offers each graph the last certificate found, a stable
-set S whose complement part has no stable triple and no induced 2K2.  It
-is kept if S is still such a set, which checks the whole certificate; else
-the maximal stable sets are searched.  On the Gray walk of an n = 7
-shard S holds for 83-87 % of the certifiable graphs.
+Under every theorem the fold offers each H-free graph the last certificate
+found, as part masks in the theorem's slot order.  It is kept if every
+part is still in its family, which checks the whole certificate; else the
+theorem's search runs, which for c6 tries the maximal stable sets.
 
 All fractions are exact rationals; reports contain no wall-clock data, so a
 report is byte-identical for a fixed configuration regardless of thread
@@ -29,7 +28,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
-import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -39,8 +37,8 @@ from functools import lru_cache
 from time import monotonic
 
 from .families import (
+    _RECOGNIZERS,
     _is_cogirth5,
-    _is_stable,
     _unlabeled_level,
     girth,
     heavy_degree_check,
@@ -49,13 +47,12 @@ from .families import (
 from .graphs import (
     Graph,
     bits,
-    automorphism_count,
     contains_induced,
     emit_graph6,
     is_isomorphic,
     parse_graph6,
 )
-from .witnessing import theorem_certifier, theorem_cycle
+from .witnessing import theorem_certifier, theorem_cycle, theorem_sequence
 
 # A labeled C6 census at n = 7 (2^21 graphs) takes about 18.5 CPU s; the
 # 2^28 graphs of n = 8 extrapolate to about 1.4 CPU hours, never run.
@@ -128,10 +125,6 @@ def _shard_graphs(n: int, prefix: int, low: int):
         yield trusted(n, tuple(rows))
 
 
-def orbit_size(g: Graph) -> int:
-    return math.factorial(g.n) // automorphism_count(g)
-
-
 # -- fast per-graph predicates -------------------------------------------------
 
 
@@ -196,27 +189,15 @@ def _maximal_stable_sets(g: Graph):
     yield from rec(0, full, 0)
 
 
-def c6_certificate(g: Graph, hint: int | None = None) -> int | None:
-    """A stable set S whose complement in V(g) is co-girth-5, or None.
-
-    A hint (say, the previous graph's S) is returned if it is such a set
-    in g, which checks the whole certificate.  Otherwise, by heredity of
-    co-girth-5, it is enough to try the maximal stable sets.
-    """
+def c6_certificate(g: Graph) -> tuple[int, int] | None:
+    """Part masks (co-girth-5, stable) of a c6 certificate of g, or None.
+    By heredity of co-girth-5 the maximal stable sets suffice."""
     adj = g.adj
     full = g.vertex_mask()
-    if (hint is not None and not hint & ~full and _is_stable(adj, hint)
-            and _is_cogirth5(adj, full ^ hint)):
-        return hint
     for s in _maximal_stable_sets(g):
         if _is_cogirth5(adj, full ^ s):
-            return s
+            return full ^ s, s
     return None
-
-
-def c6_certifiable(g: Graph) -> bool:
-    """Partition into a co-girth-5 part and a stable part exists."""
-    return c6_certificate(g) is not None
 
 
 # -- census --------------------------------------------------------------------
@@ -285,31 +266,49 @@ class CensusReport:
         }
 
 
+def _certificate_parts(g: Graph, theorem: str):
+    """A certificate of g as part masks in the theorem's slot order, or
+    None.  c6 keeps its maximal-stable-set search, the faster one."""
+    if theorem == "c6":
+        return c6_certificate(g)
+    cert = theorem_certifier(g, theorem)
+    if cert is None:
+        return None
+    return map(cert.partition.part_mask, range(cert.partition.arity))
+
+
+def _holds(adj, hint) -> bool:
+    """Every (recognizer, part mask) pair of ``hint`` accepts its part."""
+    for recognize, mask in hint:
+        if not recognize(adj, mask):
+            return False
+    return True
+
+
 def _fold(config: CensusConfig, weighted_graphs) -> tuple[int, int, int]:
     """Weighted (total, hfree, certifiable) over (graph, weight) pairs.
 
-    For c6 the last certificate found is offered to the next graph first;
-    consecutive graphs of a Gray walk differ in one edge, so it usually
-    holds.  The soundness cross-check runs on a validated copy of every
-    certifiable graph when n <= 6, otherwise of every 1024th one visited,
-    counted without weights.
-    """
+    Each H-free graph is offered the last certificate first, as (family
+    recognizer, part mask) pairs, last slot first: cliques and stable sets
+    fail fastest.  Else the theorem's search runs.  The soundness
+    cross-check runs on a validated copy of every certifiable graph when
+    n <= 6, else of every 1024th one visited, counted without weights."""
     forb = theorem_cycle(config.theorem)
+    recognizers = [_RECOGNIZERS[f.name]
+                   for f in theorem_sequence(config.theorem).parts]
     exhaustive_check = config.n <= 6
     total = hfree = certifiable = checked = 0
-    witness = None
+    hint = None
     for g, w in weighted_graphs:
         total += w
         if has_induced_cycle(g, forb.n):
             continue
         hfree += w
-        if config.theorem == "c6":
-            s = c6_certificate(g, witness)
-            if s is None:
+        if hint is None or not _holds(g.adj, hint):
+            parts = _certificate_parts(g, config.theorem)
+            if parts is None:
                 continue
-            witness = s
-        elif theorem_certifier(g, config.theorem) is None:
-            continue
+            hint = list(zip(recognizers, parts))[::-1]
         certifiable += w
         checked += 1
         if exhaustive_check or checked % 1024 == 1:

@@ -236,6 +236,8 @@ def _cmd_bound(args) -> int:
 
 
 def _cmd_sample_partitions(args) -> int:
+    if args.samples < 0:
+        raise ValueError(f"--samples must be at least 0, got {args.samples}")
     sampler = UniformPartitionSampler(args.n, args.seed)
     heavy_threshold = math.log(args.n) ** 3 if args.n > 1 else 0.0
     rows = []

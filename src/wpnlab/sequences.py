@@ -259,10 +259,13 @@ def enumerate_really_canonical_sequences(
     Minimal means removing any pattern from any basis breaks the witnessing
     property; minimality forces each basis to be an antichain.  Raises
     BudgetExhausted (distinct from returning an empty list) when the search
-    budget runs out.
+    budget runs out, and ValueError for a budget below 0, which the search
+    would never reach.
     """
     if k < 1:
         raise ValueError("k must be positive")
+    if budget < 0:
+        raise ValueError(f"budget must be at least 0, got {budget}")
     if h.n > MAX_SEQUENCE_VERTICES:
         raise ValueError(f"sequences supports at most {MAX_SEQUENCE_VERTICES} "
                          f"vertices, got {h.n}")

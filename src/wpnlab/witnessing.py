@@ -9,6 +9,7 @@ partition is a certificate.
 from __future__ import annotations
 
 import itertools
+import re
 from dataclasses import dataclass
 
 from .families import FamilySpec, basis_of, member
@@ -192,7 +193,8 @@ def _theorem_l(theorem: str) -> int:
     fixed = {"c6": 3, "c8": 4, "c10": 5}
     if theorem in fixed:
         return fixed[theorem]
-    if not theorem.startswith("c2l:"):
+    # one spelling per theorem, since the id goes into config hashes
+    if not re.fullmatch(r"c2l:[1-9][0-9]*", theorem):
         raise ValueError(f"unknown theorem {theorem!r}")
     l = int(theorem[len("c2l:"):])
     if l <= 5:

@@ -14,7 +14,6 @@ import pytest
 import scipy.stats
 
 from wpnlab.census import (
-    c6_certifiable,
     canonical_json,
     census,
     girth5_census,

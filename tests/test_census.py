@@ -13,7 +13,6 @@ from wpnlab.census import (
     MAX_UNLABELED_N,
     CensusConfig,
     ConfigMismatch,
-    c6_certifiable,
     c6_certificate,
     canonical_json,
     census,
@@ -21,7 +20,6 @@ from wpnlab.census import (
     girth5_census,
     graph_from_edge_mask,
     has_induced_cycle,
-    orbit_size,
     _count_shard,
     _fold,
     _pair_order,
@@ -30,6 +28,7 @@ from wpnlab.census import (
 )
 from wpnlab.families import _unlabeled_level, _unlabeled_up_to
 from wpnlab.graphs import (
+    automorphism_count,
     canonical_key,
     clique,
     contains_induced,
@@ -41,6 +40,8 @@ from wpnlab.witnessing import (
     Partition,
     PartitionCertificate,
     find_certificate,
+    theorem_certifier,
+    theorem_cycle,
     theorem_sequence,
 )
 
@@ -90,8 +91,8 @@ def test_orbit_sizes_sum_to_labeled_count():
     for n in range(1, 9):
         assert sum(w for _, w in _unlabeled_level(n)) == \
             1 << (n * (n - 1) // 2)
-    assert orbit_size(clique(5)) == 1
-    assert orbit_size(cycle(5)) == math.factorial(5) // 10
+    assert automorphism_count(clique(5)) == math.factorial(5)
+    assert automorphism_count(cycle(5)) == 10
 
 
 def test_has_induced_cycle_matches_generic_check():
@@ -105,34 +106,49 @@ def test_has_induced_cycle_matches_generic_check():
         assert has_induced_cycle(g, 6) == contains_induced(g, cycle(6))
 
 
-def _verified_c6_witness(g: Graph, s: int) -> bool:
-    parts = tuple(s >> v & 1 for v in range(g.n))
-    return PartitionCertificate(Partition(2, parts),
-                                theorem_sequence("c6")).verify(g)
-
-
-def test_c6_certifiable_matches_generic_certificate_search():
-    # every labeled graph with n <= 6, each also offered a stale witness:
-    # the previous mask's, and a random stable set
-    rng = random.Random(7)
+def test_c6_certificate_matches_generic_certificate_search():
+    # every labeled graph with n <= 6
     seq = theorem_sequence("c6")
     for n in range(1, 7):
-        previous = None
         for mask in range(1 << n * (n - 1) // 2):
             g = graph_from_edge_mask(n, mask)
-            expected = c6_certifiable(g)
-            assert expected == (find_certificate(g, seq) is not None)
-            stable = 0
-            for v in rng.sample(range(n), n):
-                if rng.random() < 0.7 and not g.adj[v] & stable:
-                    stable |= 1 << v
-            for hint in (previous, stable):
-                s = c6_certificate(g, hint)
-                assert (s is not None) == expected
-                if s is not None:
-                    assert _verified_c6_witness(g, s)
-            if s is not None:
-                previous = s
+            parts = c6_certificate(g)
+            assert (parts is None) == (find_certificate(g, seq) is None)
+            if parts is not None:
+                assignment = tuple(parts[1] >> v & 1 for v in range(n))
+                assert parts[0] == g.vertex_mask() ^ parts[1]
+                assert PartitionCertificate(Partition(2, assignment),
+                                            seq).verify(g)
+
+
+@pytest.mark.parametrize("theorem", ["c6", "c8"])
+def test_stale_certificates_never_change_a_fold_count(theorem):
+    """The fold offers each graph the last certificate found.  Over
+    shuffled orders, where that certificate is mostly stale, its counts are
+    those of a fresh certificate search on every graph: c6 on every labeled
+    graph with n <= 6, and c8 on the n = 8 classes, with the orbit weights
+    the unlabeled census uses."""
+    rng = random.Random(12)
+    m = theorem_cycle(theorem).n
+    if theorem == "c6":
+        levels = [(n, "labeled", [(graph_from_edge_mask(n, mask), 1)
+                                  for mask in range(1 << n * (n - 1) // 2)])
+                  for n in range(1, 7)]
+    else:
+        # only 2 of the 12345 C8-free classes have no certificate
+        levels = [(8, "unlabeled", list(_unlabeled_level(8)))]
+    for n, mode, weighted in levels:
+        config = CensusConfig(n=n, forbidden_g6=emit_graph6(cycle(m)),
+                              theorem=theorem, mode=mode)
+        hfree = sum(w for g, w in weighted if not has_induced_cycle(g, m))
+        certifiable = sum(w for g, w in weighted
+                          if theorem_certifier(g, theorem) is not None)
+        if n >= 6:
+            assert 0 < certifiable < hfree
+        for _ in range(5 if n < 6 else 1 if n == 6 else 2):
+            rng.shuffle(weighted)
+            assert _fold(config, weighted) == (
+                sum(w for _, w in weighted), hfree, certifiable)
 
 
 def test_census_small_vacuous():
@@ -160,7 +176,7 @@ def test_census_report_leaves_decimal_context_alone():
 
 
 def test_census_modes_agree():
-    # c6 takes the c6_certifiable fast path, c8 and c10 the generic search
+    # c6 falls back on its own search, c8 and c10 on the generic one
     cases = [(n, 6) for n in range(3, 7)] + \
         [(n, m) for m in (8, 10) for n in range(3, 6)]
     for n, m in cases:

@@ -10,6 +10,7 @@ import sys
 import jsonschema
 import pytest
 from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 from wpnlab.census import MAX_LABELED_N, MAX_UNLABELED_N
@@ -153,6 +154,14 @@ def test_sequences_budget_exit_code(capsys):
                             "5 search nodes used of a budget of 5\n")
 
 
+def test_negative_sequence_budget_exits_2(capsys):
+    # a count from 0 never reaches a negative budget, so it would be no bound
+    assert main(["sequences", "--graph", C6, "--k", "2", "--budget", "-5"]) == 2
+    assert capsys.readouterr().err == \
+        "wpn-lab: budget must be at least 0, got -5\n"
+    assert main(["sequences", "--graph", C6, "--k", "2", "--budget", "0"]) == 3
+
+
 def test_sequences_past_the_vertex_cap_exits_2(capsys, monkeypatch):
     import wpnlab.sequences as seq
 
@@ -200,6 +209,20 @@ def test_sequences_on_any_text_exits_0_2_or_3(text):
     # Larger graphs are left out for time: the search grows like 2^n.
     assume(_at_most(text, 5))
     assert _quiet_main(["sequences", "--graph", text, "--k", "2"]) in (0, 2, 3)
+
+
+@given(st.one_of(st.text(), st.text(max_size=3).map("c2l:".__add__)))
+@example("c2l:6")
+@example("c2l:9")
+@example("c2l: 6")
+@example("c2l:+6")
+@example("c2l:0_6")
+@example("c2l:\uff16")
+@example("c2l:x")
+@settings(max_examples=150, deadline=None)
+def test_certify_on_any_theorem_exits_0_or_2(theorem):
+    # suffixes of at most 3 characters keep l, the clique slot count, small
+    assert _quiet_main(["certify", "Bw", "--theorem", theorem]) in (0, 2)
 
 
 def test_verify_claims(capsys):
@@ -251,6 +274,15 @@ def test_sample_partitions_json_and_determinism(capsys):
                                    "--samples", "3", "--seed", "11"])
     assert code == code2 == 0 and p1 == p2
     _validate(p1, "sample-partitions.schema.json")
+
+
+def test_negative_sample_count_exits_2(capsys):
+    argv = ["sample-partitions", "--n", "6", "--seed", "1", "--samples"]
+    assert main(argv + ["-1"]) == 2
+    assert capsys.readouterr() == (
+        "", "wpn-lab: --samples must be at least 0, got -1\n")
+    code, payload = _run_json(capsys, argv + ["0"])
+    assert code == 0 and payload["samples"] == []
 
 
 def test_census_json_thread_invariance(capsys):

@@ -123,7 +123,10 @@ def test_theorem_sequences_witness_their_cycles():
 
 
 def test_theorem_preconditions():
-    for bad in ("c2l:5", "c2l:3", "c2l:", "c12", "c2l:x"):
+    # each id goes into a census config hash, so "c2l:6" is the only
+    # spelling of l = 6
+    for bad in ("c2l:5", "c2l:3", "c2l:", "c12", "c2l:x", "c2l: 6", "c2l:+6",
+                "c2l:0_6", "c2l:\uff16", "c2l:06", "c2l:6\n", "c2l:0", " c6"):
         for parse in (theorem_sequence, theorem_cycle):
             with pytest.raises(ValueError):
                 parse(bad)
