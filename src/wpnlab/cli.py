@@ -35,8 +35,8 @@ from .counting import (
 )
 from .families import NoFiniteBasisError
 from .graphs import Graph, Graph6Error, emit_graph6, parse_adjacency_text, parse_graph6
-from .sequences import classify_sequence, enumerate_really_canonical_sequences, \
-    is_isomorphic_cycle
+from .sequences import classifiable, classify_sequence, \
+    enumerate_really_canonical_sequences
 from .witnessing import (
     BudgetExhausted,
     theorem_certifier,
@@ -130,13 +130,12 @@ def _cmd_certify(args) -> int:
 def _cmd_sequences(args) -> int:
     g = _read_graph(args.graph)
     seqs = enumerate_really_canonical_sequences(g, args.k, budget=args.budget)
-    classifiable = is_isomorphic_cycle(g) and g.n >= 6 and g.n % 2 == 0 \
-        and wpn(g) == args.k
+    classify = classifiable(g, args.k)
     items = []
     for seq in seqs:
         item = {"families": [[emit_graph6(p) for p in f.patterns]
                              for f in seq.parts]}
-        if classifiable:
+        if classify:
             item["classification"] = classify_sequence(g, seq)
         items.append(item)
     config = {"command": "sequences", "graph": emit_graph6(g), "k": args.k,

@@ -26,7 +26,14 @@ fixes its node count (the budget's unit) but not its hitting sets.  A split
 of V(h) into c cliques and k - c stable sets is an assignment that c clique
 slots and k - c stable slots cannot reject, so only the slot types that
 splits_into finds no split for are searched, and no poset is built when
-there are none.
+there are none.  MMCS yields every slot relabelling of a sequence, so a
+sequence is built only for the first hitting set with its class ids.
+
+Each cycle C_{2l} has a case list of slot targets.  Case 1 is the theorem's
+own sequence for C_{2l} with each clique slot widened to cliques-or-tiny;
+the later cases of C6 and C8 are written out.  A sequence is in a case when
+some bijection of its families onto the case's slots puts each family
+inside its slot's target, and it takes the first case it is in.
 """
 
 from __future__ import annotations
@@ -36,14 +43,14 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .families import FamilySpec, _subset_orbits, family_subset, member
-from .graphs import Graph, _canon_cached, bits, canonical_key, cycle, empty, path
+from .graphs import Graph, _canon_cached, bits, canonical_key, clique, cycle, empty, \
+    is_isomorphic, path
 from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
-    is_witnessing_sequence, splits_into, wpn
+    is_witnessing_sequence, splits_into, theorem_sequence, wpn
 
-# The subgraph poset keeps an entry per vertex mask of h and the set of
-# classes below each class.  On a random G(16, 1/2) it took 18 CPU s and
-# 695 MB (Python 3.11); each vertex more multiplied the time by about 2.2
-# and the memory by about 2.6.
+# The subgraph poset keeps an entry per vertex mask of h and a bitmask of
+# the classes below each class.  On a random G(16, 1/2) it took 13 CPU s and
+# 135 MB of max RSS (Python 3.11), about 2.2 times G(15, 1/2)'s 6 s and 60 MB.
 MAX_SEQUENCE_VERTICES = 16
 
 
@@ -51,9 +58,9 @@ MAX_SEQUENCE_VERTICES = 16
 class SubgraphPoset:
     reps: list[Graph]            # canonical representative per class
     class_of_mask: list[int]     # class id for every vertex subset of h
-    below: list[list[int]]       # below[c] = class ids p with p induced in c
-    clique_classes: set[int]
-    stable_classes: set[int]
+    below: list[int]             # bit p of below[c] set iff p is induced in c
+    clique_classes: int          # bitmask of the classes that are cliques
+    stable_classes: int          # bitmask of the classes that are stable
 
 
 def subgraph_poset(h: Graph) -> SubgraphPoset:
@@ -68,7 +75,7 @@ def subgraph_poset(h: Graph) -> SubgraphPoset:
 
     Every induced subgraph of h[m] is h[s] for some s inside m, and s is
     reached from m by deleting one vertex at a time.  So ``below[c]`` is c
-    together with the ``below`` sets of the one-vertex deletions of the
+    together with the ``below`` masks of the one-vertex deletions of the
     class's first mask, taken over the classes in order of vertex count:
     a reflexive and transitive closure with no containment test.
     """
@@ -90,19 +97,19 @@ def subgraph_poset(h: Graph) -> SubgraphPoset:
             reps.append(Graph(key[0], key[1]))
             first.append(mask)
         class_of_mask.append(c)
-    closed = [{c} for c in range(len(reps))]
+    below = [1 << c for c in range(len(reps))]
     for c in sorted(range(len(reps)), key=lambda c: reps[c].n):
         mask = first[c]
         for v in bits(mask):
-            closed[c] |= closed[class_of_mask[mask ^ 1 << v]]
-    clique, stable = FamilySpec.named("clique"), FamilySpec.named("stable")
-    return SubgraphPoset(
-        reps=reps,
-        class_of_mask=class_of_mask,
-        below=[sorted(s) for s in closed],
-        clique_classes={c for c, g in enumerate(reps) if member(clique, g)},
-        stable_classes={c for c, g in enumerate(reps) if member(stable, g)},
-    )
+            below[c] |= below[class_of_mask[mask ^ 1 << v]]
+
+    def classes_in(name: str) -> int:
+        f = FamilySpec.named(name)
+        return sum(1 << c for c, g in enumerate(reps) if member(f, g))
+
+    return SubgraphPoset(reps=reps, class_of_mask=class_of_mask, below=below,
+                         clique_classes=classes_in("clique"),
+                         stable_classes=classes_in("stable"))
 
 
 def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[int, ...]]:
@@ -181,8 +188,7 @@ def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
     over their distinct slot permutations: those expansions are exactly
     the minimal constraints over all assignments.
     """
-    pattern = {t: [sum(1 << p for p in below if p not in protected)
-                   for below in poset.below]
+    pattern = {t: [below & ~protected for below in poset.below]
                for t, protected in (("C", poset.clique_classes),
                                     ("S", poset.stable_classes))}
     at = {t: [i for i, u in enumerate(types) if u == t] for t in pattern}
@@ -277,6 +283,8 @@ def enumerate_really_canonical_sequences(
     poset = subgraph_poset(h)
     multisets = part_class_multisets(h, k, poset)
     nodes = [0, budget]
+    # a class id names one isomorphism class, so the sorted slots of sorted
+    # class ids key a sequence up to slot order
     solutions: dict[tuple, WitnessSequence] = {}
     for c in slot_cliques:
         types = ("C",) * c + ("S",) * (k - c)
@@ -285,17 +293,16 @@ def enumerate_really_canonical_sequences(
             slots: list[list[int]] = [[] for _ in range(k)]
             for (i, p) in hs:
                 slots[i].append(p)
-            fams = tuple(
-                FamilySpec.forbidden(poset.reps[p] for p in js)
-                for js in slots
-            )
-            norm = tuple(sorted(
-                tuple(canonical_key(p) for p in f.patterns) for f in fams))
-            if norm not in solutions:
-                ordered = tuple(sorted(
-                    fams, key=lambda f: tuple(canonical_key(p) for p in f.patterns)))
-                solutions[norm] = WitnessSequence(parts=ordered)
-    return [solutions[key] for key in sorted(solutions)]
+            ids = tuple(sorted(tuple(sorted(js)) for js in slots))
+            if ids not in solutions:
+                solutions[ids] = WitnessSequence(tuple(sorted(
+                    (FamilySpec.forbidden(poset.reps[p] for p in js) for js in ids),
+                    key=_basis_key)))
+    return sorted(solutions.values(), key=lambda s: [_basis_key(f) for f in s.parts])
+
+
+def _basis_key(f: FamilySpec) -> tuple:
+    return tuple(canonical_key(p) for p in f.patterns)
 
 
 # -- classification into the structural case lists ----------------------------
@@ -312,14 +319,38 @@ def _target(name: str) -> FamilySpec:
         return FamilySpec.forbidden([p3, cop3])
     if name == "clique-or-co-star":
         # cliques plus complements of stars (a clique and an isolated vertex)
-        from .graphs import clique as kn
         return FamilySpec.forbidden(
-            [empty(3), p3, kn(2).disjoint_union(kn(2))])
+            [empty(3), p3, clique(2).disjoint_union(clique(2))])
     return FamilySpec.named(name)
 
 
-def _sub(f: FamilySpec, target_name: str) -> bool:
-    return family_subset(f, _target(target_name))
+# The cases after case 1 of C_{2l}, keyed by l, as target families per slot.
+# Case 2 of C6 admits stable sets of any size in its second family (as in
+# the C8 case list): e.g. (Forb{E3,2K2,P4}, cliques-and-stables) is
+# witnessing and really canonical, and fits no narrower case.
+_LATER_CASES = {
+    3: [("cograph", "cliques-and-stables"),
+        ("complete-multipartite", "clique-or-co-star"),
+        ("co-matching", "clique-union-stable")],
+    4: [("cliques-and-stables", "cliques-or-tiny", "co-matching")],
+}
+
+
+def _cases(l: int) -> list[tuple[str, ...]]:
+    """The case list of C_{2l}.  Case 1 is the theorem's own sequence with
+    each clique slot widened to cliques-or-tiny."""
+    theorem = f"c{2 * l}" if l <= 5 else f"c2l:{l}"
+    first = tuple("cliques-or-tiny" if f.name == "clique" else f.name
+                  for f in theorem_sequence(theorem).parts)
+    return [first] + _LATER_CASES.get(l, [])
+
+
+def _in_case(fams: tuple[FamilySpec, ...], slots: tuple[str, ...]) -> bool:
+    """Whether some bijection of the families onto the slots puts each
+    family inside its slot's target."""
+    inside = {t: [family_subset(f, _target(t)) for f in fams] for t in set(slots)}
+    return any(all(inside[t][i] for i, t in zip(order, slots))
+               for order in itertools.permutations(range(len(fams))))
 
 
 @lru_cache(maxsize=8)
@@ -335,57 +366,25 @@ def _membership_memo(h: Graph) -> dict:
     return {}
 
 
+def classifiable(h: Graph, k: int) -> bool:
+    """Whether classify_sequence takes k-sequences for h: h is an even
+    cycle C_{2l} with l >= 3 and k = wpn(h)."""
+    return (h.n >= 6 and h.n % 2 == 0 and is_isomorphic(h, cycle(h.n))
+            and _wpn_of(h) == k)
+
+
 def classify_sequence(h: Graph, seq: WitnessSequence) -> str:
     """Match a really canonical witnessing wpn(h)-sequence against the
-    case list for its cycle; 'NoMatch' would falsify the classification."""
-    n = h.n
-    if n < 6 or n % 2 or not is_isomorphic_cycle(h):
-        raise ValueError("classification supports even cycles C6, C8, C10, C2l")
-    k = _wpn_of(h)
-    if len(seq) != k:
-        raise ValueError(f"expected a {k}-sequence for C{n}")
+    case list for its cycle, trying the cases in order; 'NoMatch' would
+    falsify the classification."""
+    if not classifiable(h, len(seq)):
+        raise ValueError("classification takes wpn(h)-sequences for the even "
+                         "cycles C6, C8, C10, C2l")
     if not is_really_canonical(seq):
         raise ValueError("sequence is not really canonical")
     if not is_witnessing_sequence(h, seq, _membership_memo(h)):
         raise ValueError("sequence is not witnessing")
-    fams = list(seq.parts)
-    if n == 6:
-        a, b = fams
-        for x, y in ((a, b), (b, a)):
-            if _sub(x, "co-girth-5") and _sub(y, "stable"):
-                return "case1"
-        # Case 2 admits stable sets of any size in the second family (as in
-        # the C8 case list): e.g. (Forb{E3,2K2,P4}, cliques-and-stables) is
-        # witnessing and really canonical, and fits no narrower case.
-        for x, y in ((a, b), (b, a)):
-            if _sub(x, "cograph") and _sub(y, "cliques-and-stables"):
-                return "case2"
-        for x, y in ((a, b), (b, a)):
-            if _sub(x, "complete-multipartite") and _sub(y, "clique-or-co-star"):
-                return "case3"
-        for x, y in ((a, b), (b, a)):
-            if _sub(x, "co-matching") and _sub(y, "clique-union-stable"):
-                return "case4"
-        return "NoMatch"
-    if n == 8:
-        for a, b, c in itertools.permutations(fams):
-            if (_sub(a, "split-join-components-co")
-                    and _sub(b, "cliques-or-tiny") and _sub(c, "cliques-or-tiny")):
-                return "case1"
-        for a, b, c in itertools.permutations(fams):
-            if (_sub(a, "cliques-and-stables") and _sub(b, "cliques-or-tiny")
-                    and _sub(c, "co-matching")):
-                return "case2"
-        return "NoMatch"
-    special = "stars-cliques-co" if n == 10 else "stars-triangles-co"
-    for i, f in enumerate(fams):
-        rest = fams[:i] + fams[i + 1:]
-        if _sub(f, special) and all(_sub(r, "cliques-or-tiny") for r in rest):
-            return "case1"
+    for number, slots in enumerate(_cases(h.n // 2), 1):
+        if _in_case(seq.parts, slots):
+            return f"case{number}"
     return "NoMatch"
-
-
-def is_isomorphic_cycle(h: Graph) -> bool:
-    from .graphs import is_isomorphic
-
-    return h.n >= 3 and is_isomorphic(h, cycle(h.n))

@@ -142,10 +142,10 @@ def find_certificate(g: Graph, seq: WitnessSequence,
     order = sorted(range(k), key=lambda i: (0 if _clique_like(seq.parts[i]) else 1, i))
     # (slot, its previous twin in branching order or None), in branching order
     branches = []
-    for pos, i in enumerate(order):
-        twin = next((j for j in reversed(order[:pos])
-                     if seq.parts[j] == seq.parts[i]), None)
-        branches.append((i, twin))
+    last: dict[FamilySpec, int] = {}
+    for i in order:
+        branches.append((i, last.get(seq.parts[i])))
+        last[seq.parts[i]] = i
     memos: dict[FamilySpec, dict[int, bool]] = {} if memo is None else memo
     slot_memo = [memos.setdefault(f, {}) for f in seq.parts]
 

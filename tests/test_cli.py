@@ -145,6 +145,21 @@ def test_sequences_json(capsys):
     _validate(payload, "sequences.schema.json")
 
 
+@pytest.mark.parametrize("graph, k, digest", [
+    ("EhEG", 2, "835956cda7f596d6"),              # C6
+    ("GhCGKC", 3, "8e076f70acc308a0"),            # C8
+    ("IhCGGC@_G", 4, "b138926e6f668300"),         # C10
+    ("KhCGGC@?G?o@", 5, "647a6dfce29bed39"),      # C12
+])
+def test_sequences_json_is_pinned(capsys, graph, k, digest):
+    """The classified sequence reports of C6..C12 at k = wpn, as the case
+    lists written out per cycle length classified them."""
+    assert main(["sequences", "--graph", graph, "--k", str(k),
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_sequences_budget_exit_code(capsys):
     code = main(["sequences", "--graph", C6, "--k", "2", "--budget", "5"])
     assert code == 3

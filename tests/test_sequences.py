@@ -71,19 +71,20 @@ def test_subgraph_poset_matches_brute_force():
                 seen.append(mask)
             assert c < len(seen)
         for c, big in enumerate(poset.reps):
-            assert poset.below[c] == sorted(poset.below[c])
+            assert poset.below[c] >> len(poset.reps) == 0
             for p, small in enumerate(poset.reps):
                 pair = (keys[c], keys[p])
                 if pair not in contains:
                     contains[pair] = small.n <= big.n and contains_induced(big, small)
-                assert (p in poset.below[c]) == contains[pair], (h, c, p)
-        assert poset.clique_classes == {c for c, g in enumerate(poset.reps)
-                                        if g.edge_count() == g.n * (g.n - 1) // 2}
-        assert poset.stable_classes == {c for c, g in enumerate(poset.reps)
-                                        if g.edge_count() == 0}
+                assert bool(poset.below[c] >> p & 1) == contains[pair], (h, c, p)
+        assert poset.clique_classes == sum(
+            1 << c for c, g in enumerate(poset.reps)
+            if g.edge_count() == g.n * (g.n - 1) // 2)
+        assert poset.stable_classes == sum(
+            1 << c for c, g in enumerate(poset.reps) if g.edge_count() == 0)
         # K0 and K1 are in every hereditary family, so no slot rejects them
-        tiny = {c for c, g in enumerate(poset.reps) if g.n <= 1}
-        assert tiny <= poset.clique_classes & poset.stable_classes
+        tiny = sum(1 << c for c, g in enumerate(poset.reps) if g.n <= 1)
+        assert tiny & ~(poset.clique_classes & poset.stable_classes) == 0
 
 
 def _subset_orbit_count(h: Graph, perms) -> int:
@@ -214,7 +215,8 @@ def _constraints_of_every_ordering(poset, multisets, types) -> list[frozenset]:
     hit = []
     for i, t in enumerate(types):
         protected = poset.clique_classes if t == "C" else poset.stable_classes
-        hit.append([frozenset((i, p) for p in below if p not in protected)
+        hit.append([frozenset((i, p) for p in range(len(poset.reps))
+                              if below >> p & 1 and not protected >> p & 1)
                     for below in poset.below])
     constraints = set()
     for ms in multisets:
@@ -432,6 +434,21 @@ def test_minimal_hitting_sets_match_brute_force():
         assert set(got) == _brute_minimal_hitting_sets(edges, universe), edges
 
 
+def test_case_one_is_the_theorem_sequence_with_cliques_widened():
+    """The case lists of C6..C16, as they were written out per cycle length."""
+    cot = "cliques-or-tiny"
+    assert wpnlab.sequences._cases(3) == [
+        ("co-girth-5", "stable"), ("cograph", "cliques-and-stables"),
+        ("complete-multipartite", "clique-or-co-star"),
+        ("co-matching", "clique-union-stable")]
+    assert wpnlab.sequences._cases(4) == [
+        ("split-join-components-co", cot, cot),
+        ("cliques-and-stables", cot, "co-matching")]
+    assert wpnlab.sequences._cases(5) == [("stars-cliques-co",) + (cot,) * 3]
+    for l in (6, 7, 8):
+        assert wpnlab.sequences._cases(l) == [("stars-triangles-co",) + (cot,) * (l - 2)]
+
+
 def test_classify_named_theorem_sequences():
     from wpnlab.witnessing import theorem_sequence
 
@@ -439,6 +456,8 @@ def test_classify_named_theorem_sequences():
     assert classify_sequence(cycle(8), theorem_sequence("c8")) == "case1"
     assert classify_sequence(cycle(10), theorem_sequence("c10")) == "case1"
     assert classify_sequence(cycle(12), theorem_sequence("c2l:6")) == "case1"
+    assert classify_sequence(cycle(14), theorem_sequence("c2l:7")) == "case1"
+    assert classify_sequence(cycle(16), theorem_sequence("c2l:8")) == "case1"
 
 
 def test_witness_rechecks_share_membership_answers(monkeypatch):
