@@ -52,13 +52,13 @@ from .graphs import (
     is_isomorphic,
     parse_graph6,
 )
-from .witnessing import theorem_certifier, theorem_cycle, theorem_sequence
+from .witnessing import _theorem_l, theorem_certifier, theorem_cycle, theorem_sequence
 
 # A labeled C6 census at n = 7 (2^21 graphs) takes about 18.5 CPU s; the
 # 2^28 graphs of n = 8 extrapolate to about 1.4 CPU hours, never run.
 MAX_LABELED_N = 7
-# A whole n = 9 census (274668 classes) takes 130-155 s and 193 MB on one
-# CPU of a 2-vCPU machine; n = 10 has about 12 million classes.
+# A whole n = 9 C6 census (274668 classes) takes 110 CPU s and 167 MB on
+# one CPU of a 2-vCPU machine; n = 10 has about 12 million classes.
 MAX_UNLABELED_N = 9
 
 
@@ -217,10 +217,12 @@ class CensusConfig:
         nmax = MAX_LABELED_N if self.mode == "labeled" else MAX_UNLABELED_N
         if not 1 <= self.n <= nmax:
             raise ValueError(f"{self.mode} census supports 1 <= n <= {nmax}")
-        expected = theorem_cycle(self.theorem)
-        if not is_isomorphic(parse_graph6(self.forbidden_g6), expected):
+        m = 2 * _theorem_l(self.theorem)
+        forb = parse_graph6(self.forbidden_g6)
+        # the vertex counts first: C_m is built only when it fits a graph
+        if forb.n != m or not is_isomorphic(forb, theorem_cycle(self.theorem)):
             raise ValueError(
-                f"theorem {self.theorem} expects the forbidden graph C{expected.n}")
+                f"theorem {self.theorem} expects the forbidden graph C{m}")
         nbits = self.n * (self.n - 1) // 2
         if not 0 <= self.shard_prefix_bits <= min(nbits, 12):
             raise ValueError("bad shard prefix length")
@@ -414,6 +416,8 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
     tasks = [(config, p) for p in range(1 << config.shard_prefix_bits)
              if p not in done]
     shards = list(done.values())
+    if manifest_path:  # an unwritable path fails before any shard is counted
+        _write_manifest(manifest_path, config, shards)
     pool = multiprocessing.Pool(threads) if threads > 1 and len(tasks) > 1 else None
     fresh = pool.imap_unordered(_count_task, tasks) if pool else map(_count_task, tasks)
     written = monotonic()

@@ -4,7 +4,8 @@ One subcommand per module; JSON reports are canonical (sorted keys, no
 whitespace) and carry the tool version plus a configuration hash, so a
 fixed configuration yields byte-identical output at any thread count.
 
-Exit codes: 0 success, 2 precondition violation, 3 search budget exhausted.
+Exit codes: 0 success, 2 precondition violation (bad input, or a file that
+cannot be read or written), 3 search budget exhausted.
 """
 
 from __future__ import annotations
@@ -404,7 +405,8 @@ def main(argv=None) -> int:
     except BudgetExhausted as exc:
         print(f"wpn-lab: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except (ValueError, Graph6Error, NoFiniteBasisError, ConfigMismatch) as exc:
+    except (ValueError, Graph6Error, NoFiniteBasisError, ConfigMismatch,
+            OSError) as exc:
         print(f"wpn-lab: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 

@@ -28,7 +28,6 @@ from .graphs import (
     contains_induced,
     emit_graph6,
     mask_components,
-    parse_graph6,
 )
 
 # A recognizer takes adjacency rows ``adj`` and a vertex mask ``s`` and
@@ -197,13 +196,6 @@ class FamilySpec:
             return self.name
         return "forbid[" + ",".join(emit_graph6(p) for p in self.patterns) + "]"
 
-    @staticmethod
-    def from_cli(text: str) -> "FamilySpec":
-        """Family name, or comma-separated graph6 strings as a forbidden set."""
-        if text in _RECOGNIZERS:
-            return FamilySpec.named(text)
-        return FamilySpec.forbidden(parse_graph6(t) for t in text.split(","))
-
 
 def member(f: FamilySpec, g: Graph, mask: int | None = None) -> bool:
     """Is the subgraph of g induced on ``mask`` (default: all of g) in f?"""
@@ -259,14 +251,16 @@ def _subset_orbits(m: int, gens) -> list[int]:
 
 # _levels[n]: the search result of each class on n vertices, in the
 # labelling of its representative (whose rows are the result's rows),
-# generated once per process.
+# generated once per process.  It is the only store of classes.
 _levels: list[list[Canon]] = []
 
 
-def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
-    """One canonical representative per isomorphism class, n = 0..nmax,
-    each level sorted by canonical rows.  Levels not yet generated in this
-    process are generated from the last one, so no level is built twice.
+def _unlabeled_up_to(nmax: int) -> list[Canon]:
+    """The search result of every isomorphism class on 0..nmax vertices,
+    in level order, each level sorted by canonical rows.  The list holds
+    references into ``_levels``, and no graph is built.  Levels not yet
+    generated in this process are generated from the last one, so no level
+    is built twice.
 
     Classes are generated by canonical augmentation (McKay, *Isomorph-free
     exhaustive generation*, J. Algorithms 26, 1998).  A class on n vertices
@@ -278,9 +272,10 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
     label.  So each class is built exactly once, from the class of G minus
     that vertex, and no table of classes seen is needed.  An extension
     whose new vertex lacks the largest invariant is dropped before any
-    canonical search.  A kept class keeps only its search result, carried
-    to its representative's labelling, and its representative is built
-    from those rows when the level is read.
+    canonical search.  The search runs on the extension unchecked, since
+    its rows are symmetric and loop-free by construction; a kept class
+    keeps only its search result, carried to its representative's
+    labelling, and ``_canonical_copy`` validates those rows once.
     """
     if not _levels:
         _levels.append([_canonical_copy(_canon_search(Graph(0, ())))])
@@ -302,7 +297,7 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
                 top = max(inv)
                 if inv[-1] != top:
                     continue
-                c = _canon_search(Graph(n, rows))
+                c = _canon_search(Graph._trusted(n, rows))
                 u = min((v for v in range(n) if inv[v] == top),
                         key=c.lab.__getitem__)
                 if u != n - 1:
@@ -312,19 +307,17 @@ def _unlabeled_up_to(nmax: int) -> tuple[Graph, ...]:
                 kept.append(_canonical_copy(c))
         kept.sort(key=lambda c: c.rows)
         _levels.append(kept)
-    trusted = Graph._trusted
-    return tuple(trusted(len(c.rows), c.rows)
-                 for level in _levels[:nmax + 1] for c in level)
+    return [c for level in _levels[:nmax + 1] for c in level]
 
 
 def _unlabeled_level(n: int):
-    """Each class on n vertices as (representative, n!/|Aut|).  The weight
+    """Each class on n vertices as (representative, n!/|Aut|), the
+    representative built from the class's rows as it is read.  The weight
     comes from the class's search result, so no representative is searched
     again."""
-    reps = _unlabeled_up_to(n)
-    level = _levels[n]
+    _unlabeled_up_to(n)
     fact = math.factorial(n)
-    return zip(reps[len(reps) - len(level):], (fact // c.aut for c in level))
+    return ((Graph._trusted(n, c.rows), fact // c.aut) for c in _levels[n])
 
 
 @lru_cache(maxsize=None)
@@ -343,12 +336,13 @@ def named_forbidden_basis(name: str) -> tuple[Graph, ...]:
             f"{name} has no finite forbidden-induced basis (odd cycles)")
     fam = FamilySpec.named(name)
     out = []
-    for g in _unlabeled_up_to(_BASIS_SEARCH_MAX):
-        if g.n == 0 or member(fam, g):
-            continue
-        full = g.vertex_mask()
-        if all(member(fam, g, full ^ 1 << v) for v in range(g.n)):
-            out.append(g)
+    for n in range(1, _BASIS_SEARCH_MAX + 1):
+        for g, _ in _unlabeled_level(n):
+            if member(fam, g):
+                continue
+            full = g.vertex_mask()
+            if all(member(fam, g, full ^ 1 << v) for v in range(n)):
+                out.append(g)
     return tuple(sorted(out, key=canonical_key))
 
 

@@ -100,9 +100,6 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(i, j) for i in range(self.n) for j in bits(self.adj[i]) if i < j]
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
-
     # -- core operations ---------------------------------------------------
 
     def complement(self) -> "Graph":

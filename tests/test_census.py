@@ -374,8 +374,10 @@ def test_killed_labeled_run_keeps_its_finished_shards(tmp_path, monkeypatch,
 
 def test_slow_labeled_run_rewrites_its_manifest_as_shards_finish(tmp_path,
                                                                  monkeypatch):
-    """With a second between shards the manifest is rewritten after each
-    one, so a killed run loses only the shards in progress."""
+    """The manifest is written once before the first shard, so an
+    unwritable path fails before any work.  With a second between shards
+    it is rewritten after each one, so a killed run loses only the shards
+    in progress."""
     import wpnlab.census as census_module
 
     clock = itertools.count(0, 1)
@@ -389,7 +391,7 @@ def test_slow_labeled_run_rewrites_its_manifest_as_shards_finish(tmp_path,
 
     monkeypatch.setattr(census_module, "_write_manifest", counting)
     census(5, cycle(6), "c6", manifest_path=str(tmp_path / "manifest.json"))
-    assert sizes == list(range(1, 65)) + [64]
+    assert sizes == list(range(65)) + [64]
 
 
 def test_manifest_config_mismatch(tmp_path):

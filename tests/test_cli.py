@@ -240,6 +240,41 @@ def test_certify_on_any_theorem_exits_0_or_2(theorem):
     assert _quiet_main(["certify", "Bw", "--theorem", theorem]) in (0, 2)
 
 
+@given(st.one_of(st.text(), st.text(max_size=3).map("c2l:".__add__)))
+@example("c6")
+@example("c8")
+@example("c2l:16000")
+@settings(max_examples=150, deadline=None)
+def test_census_on_any_theorem_exits_0_or_2(theorem):
+    argv = ["census", "--n", "4", "--forbid", C6, "--theorem", theorem]
+    assert _quiet_main(argv) in (0, 2)
+
+
+@given(graph_texts)
+@example("Bw")
+@example("n=5; edges: 0-1 1-2 2-3 3-4 4-0")
+@settings(max_examples=150, deadline=None)
+def test_census_on_any_forbidden_text_exits_0_or_2(text):
+    assume(_at_most(text, 5))
+    argv = ["census", "--n", "4", "--forbid", text, "--theorem", "c6"]
+    assert _quiet_main(argv) in (0, 2)
+
+
+# Each "{}" takes any text or a small integer: near the caps a count takes
+# seconds, so the integers stop far below them.
+@pytest.mark.parametrize("argv", [
+    ["count", "--fn", "cographs", "--n", "{}"],
+    ["bound", "--n", "{}", "--l", "5"],
+    ["bound", "--n", "60", "--l", "{}"],
+    ["sample-partitions", "--n", "{}", "--samples", "3", "--seed", "1"],
+    ["sample-partitions", "--n", "8", "--samples", "{}", "--seed", "1"],
+], ids=lambda argv: argv[0] + argv[argv.index("{}") - 1])
+@given(value=st.one_of(st.text(max_size=8), st.integers(-50, 200).map(str)))
+@settings(max_examples=150, deadline=None)
+def test_number_options_on_any_text_exit_0_or_2(argv, value):
+    assert _quiet_main([value if a == "{}" else a for a in argv]) in (0, 2)
+
+
 def test_verify_claims(capsys):
     code, payload = _run_json(capsys, ["verify-claims", "--cycle", "8"])
     assert code == 0 and payload["ok"]
@@ -366,7 +401,44 @@ def test_precondition_exit_codes(capsys):
     assert main(["verify-claims", "--cycle", "7"]) == 2
 
 
+def test_c2l_census_names_the_cycle_it_expects(capsys):
+    for l in (16000, 40):
+        argv = ["census", "--n", "4", "--forbid", C6, "--theorem", f"c2l:{l}"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", f"wpn-lab: theorem c2l:{l} expects the forbidden graph C{2 * l}\n")
+
+
 CENSUS_N5 = ["census", "--n", "5", "--forbid", C6, "--theorem", "c6"]
+
+
+@pytest.mark.parametrize("case", ["resume-from-a-directory",
+                                  "output-to-a-missing-directory"])
+def test_unusable_paths_exit_2(tmp_path, capsys, case):
+    if case == "resume-from-a-directory":
+        path, argv = tmp_path, CENSUS_N5 + ["--resume", str(tmp_path)]
+    else:
+        path = tmp_path / "missing" / "x.json"
+        argv = ["wpn", C6, "--output", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wpn-lab: ") and str(path) in captured.err
+
+
+def test_unwritable_manifest_fails_before_any_shard(tmp_path, monkeypatch,
+                                                     capsys):
+    import wpnlab.census as census_module
+
+    def no_shard(config, prefix):
+        raise AssertionError("counted a shard")
+
+    monkeypatch.setattr(census_module, "_count_shard", no_shard)
+    path = tmp_path / "missing" / "m.json"
+    assert main(CENSUS_N5 + ["--threads", "1", "--resume", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wpn-lab: ") and str(path) in captured.err
 
 
 def test_threads_env_default(monkeypatch, capsys):

@@ -8,6 +8,7 @@ from wpnlab.families import (
     NAMED_FAMILIES,
     FamilySpec,
     NoFiniteBasisError,
+    _unlabeled_level,
     _unlabeled_up_to,
     basis_of,
     family_subset,
@@ -30,7 +31,7 @@ from wpnlab.graphs import (
     star,
 )
 
-from .test_graphs import graphs_up_to_6, random_graph
+from .test_graphs import classes_up_to, graphs_up_to_6, random_graph
 
 P3 = path(3)
 COP3 = P3.complement()
@@ -47,12 +48,6 @@ def test_family_spec_validation():
 
 def test_forbidden_spec_dedups_isomorphic_patterns():
     f = FamilySpec.forbidden([path(3), path(3).relabel((2, 1, 0)), empty(3)])
-    assert len(f.patterns) == 2
-
-
-def test_from_cli():
-    assert FamilySpec.from_cli("co-girth-5").name == "co-girth-5"
-    f = FamilySpec.from_cli(emit_graph6(P3) + "," + emit_graph6(empty(3)))
     assert len(f.patterns) == 2
 
 
@@ -83,7 +78,7 @@ def test_membership_spot_checks():
 
 def test_class_generation_is_pinned():
     """The graph6 list of every class up to n = 7, in order."""
-    text = "\n".join(emit_graph6(g) for g in _unlabeled_up_to(7))
+    text = "\n".join(emit_graph6(g) for g in classes_up_to(7))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "090dfd76c396dffa8a91f283c90b9745c57546d9d95588a9a9fd9a19e684a317"
 
@@ -101,7 +96,7 @@ def test_levels_are_generated_once(monkeypatch):
     assert fam._unlabeled_up_to(5) == expected[:53]
     assert len(calls) == up_to_6
     level = list(fam._unlabeled_level(7))
-    assert tuple(g for g, _ in level) == expected[209:]
+    assert [g.adj for g, _ in level] == [c.rows for c in expected[209:]]
     assert sum(w for _, w in level) == 1 << 21
     # n <= 6 then level 7 costs what one fresh n <= 7 run does
     up_to_7 = len(calls)
@@ -132,11 +127,29 @@ def test_class_levels_retain_few_bytes_per_class(monkeypatch):
     assert retained <= 700 * classes, retained / classes
 
 
+def test_level_reader_builds_no_graph_before_it_is_read():
+    """A level reader holds the classes' search results by reference and
+    builds each representative as it is read, so before it is read it
+    holds next to nothing per class."""
+    import tracemalloc
+
+    _unlabeled_up_to(8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        reader = _unlabeled_level(8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held <= 16 * 12346, held / 12346
+    assert sum(w for _, w in reader) == 1 << 28
+
+
 def test_membership_is_pinned():
     """One 0/1 membership string per named family over every class up to
     n = 7, and every finite named basis, as the structural recognizers
     gave them before they read vertex masks."""
-    classes = _unlabeled_up_to(7)
+    classes = classes_up_to(7)
     assert len(classes) == 1253
     text = "\n".join(name + ":" + "".join(
         "1" if member(FamilySpec.named(name), g) else "0" for g in classes)
@@ -155,7 +168,7 @@ def test_member_on_a_mask_equals_member_on_the_induced_subgraph():
         FamilySpec.forbidden([P3]),
         FamilySpec.forbidden([path(4), cycle(4), empty(3)]),
     ]
-    for g in _unlabeled_up_to(6):
+    for g in classes_up_to(6):
         for mask in range(1 << g.n):
             sub = g.induced(mask)
             for f in families:
@@ -168,7 +181,7 @@ def test_representatives_are_pairwise_non_isomorphic():
     import networkx as nx
 
     buckets: dict = {}
-    for g in _unlabeled_up_to(6):
+    for g in classes_up_to(6):
         buckets.setdefault((g.n, tuple(sorted(g.degrees()))), []).append(g)
     for same_degrees in buckets.values():
         nxs = []
@@ -188,7 +201,7 @@ def test_recognizer_equals_forbidden_basis(name):
     fam = FamilySpec.named(name)
     patterns = named_forbidden_basis(name)
     via_basis = FamilySpec.forbidden(patterns)
-    for g in _unlabeled_up_to(6):
+    for g in classes_up_to(6):
         assert member(fam, g) == member(via_basis, g), emit_graph6(g)
     # minimality: every one-vertex deletion of a basis graph is a member
     for p in patterns:
@@ -229,7 +242,7 @@ def test_membership_is_hereditary(g, v):
 
 def _subset_oracle(a, b, nmax=6):
     fa, fb = FamilySpec.named(a), FamilySpec.named(b)
-    return all(member(fb, g) for g in _unlabeled_up_to(nmax) if member(fa, g))
+    return all(member(fb, g) for g in classes_up_to(nmax) if member(fa, g))
 
 
 @pytest.mark.parametrize("a,b,expect", [

@@ -6,7 +6,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from wpnlab.families import _unlabeled_up_to
+from wpnlab.families import _unlabeled_level
 from wpnlab.graphs import (
     Graph,
     Graph6Error,
@@ -42,6 +42,12 @@ def random_graph(n, mask):
                 rows[j] |= 1 << i
             e += 1
     return Graph(n, tuple(rows))
+
+
+def classes_up_to(m):
+    """One representative of every isomorphism class on at most m
+    vertices, in the order class generation keeps them."""
+    return [g for n in range(m + 1) for g, _ in _unlabeled_level(n)]
 
 
 graphs_up_to_6 = st.integers(0, 6).flatmap(
@@ -169,7 +175,7 @@ def _unpruned_canon_search(g):
 def test_pruned_search_matches_unpruned_reference():
     rng = random.Random(20140601)
     graphs = []
-    for g in _unlabeled_up_to(7):
+    for g in classes_up_to(7):
         for _ in range(2):
             perm = list(range(g.n))
             rng.shuffle(perm)

@@ -4,7 +4,7 @@ import itertools
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wpnlab.families import FamilySpec, _unlabeled_up_to, member
+from wpnlab.families import FamilySpec, member
 from wpnlab.graphs import (
     clique,
     contains_induced,
@@ -29,7 +29,7 @@ from wpnlab.witnessing import (
     wpn,
 )
 
-from .test_graphs import graphs_up_to_6, random_graph
+from .test_graphs import classes_up_to, graphs_up_to_6, random_graph
 
 STABLE = FamilySpec.named("stable")
 CLIQUE = FamilySpec.named("clique")
@@ -86,7 +86,7 @@ def _wpn_oracle(h):
 def test_wpn_matches_partition_oracle():
     """The staircase walk equals the largest failing (c, s) pair over every
     class with n <= 6 and the cycles C3..C9."""
-    for g in _unlabeled_up_to(6) + tuple(cycle(k) for k in range(3, 10)):
+    for g in classes_up_to(6) + [cycle(k) for k in range(3, 10)]:
         assert wpn(g) == _wpn_oracle(g), emit_graph6(g)
 
 
