@@ -86,6 +86,17 @@ def _emit(args, payload: dict, lines: list[str]) -> None:
         sys.stdout.write(text)
 
 
+def _check_writable(path: str) -> None:
+    """Raise OSError now, before a run whose report could not be written.
+    The probe opens the path for appending, so an existing file keeps its
+    content, and removes the file again if the probe created it."""
+    existed = os.path.lexists(path)
+    with open(path, "a", encoding="utf-8"):
+        pass
+    if not existed:
+        os.remove(path)
+
+
 def _envelope(command: str, config: dict, data: dict) -> dict:
     return {
         "command": command,
@@ -401,6 +412,8 @@ def main(argv=None) -> int:
             args = build_parser().parse_args(argv)
         except SystemExit as exc:  # argparse: 2 for bad usage, 0 for --help
             return exc.code
+        if args.output:
+            _check_writable(args.output)
         return args.handler(args)
     except BudgetExhausted as exc:
         print(f"wpn-lab: {exc}", file=sys.stderr)

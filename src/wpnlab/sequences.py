@@ -21,8 +21,9 @@ vertex set being split, since isomorphic vertex sets split into the same
 multisets.  Slots of one type are interchangeable, so the constraints are
 built once per multiset and choice of the classes on the clique slots, not
 once per ordering; only the minimal ones are expanded over the slot
-permutations.  MMCS takes them in an order defined by their content, which
-fixes its node count (the budget's unit) but not its hitting sets.  A split
+permutations.  MMCS branches on the first uncovered constraint in an order
+defined by their content alone, so that order fixes its node count (the
+budget's unit); the hitting sets it yields do not depend on it.  A split
 of V(h) into c cliques and k - c stable sets is an assignment that c clique
 slots and k - c stable slots cannot reject, so only the slot types that
 splits_into finds no split for are searched, and no poset is built when
@@ -218,10 +219,18 @@ def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
 def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
     """Yield every minimal hitting set once: MMCS (Murakami & Uno, *Discrete
     Applied Math.* 170, 2014) with criticality pruning and the candidate
-    set.  A node branches on the elements of one uncovered constraint that
-    are still candidates; those leave the candidate set, and each returns
-    to it after its own branch, so a set is built only in the branch of its
-    last element in that constraint.
+    set.  A node branches on the elements of the uncovered constraint of
+    least index that are still candidates; those leave the candidate set,
+    and each returns to it after its own branch, so a set is built only in
+    the branch of its last element in that constraint.  The hitting sets
+    do not depend on the order of the list, but the node count is fixed by
+    it.  _build_constraints sorts by size, so the constraint branched on
+    is always a smallest uncovered one.
+
+    The uncovered constraints, the constraints each element hits and the
+    critical constraints of each chosen element (those it alone hits) are
+    bitmasks over constraint indices.  A branch stops building the new
+    critical sets at the first one it empties.
 
     ``nodes`` is [search nodes used, budget], shared across calls; going
     past the budget raises BudgetExhausted.
@@ -229,10 +238,10 @@ def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
     index: dict = {}
     for ci, c in enumerate(constraints):
         for e in c:
-            index.setdefault(e, set()).add(ci)
+            index[e] = index.get(e, 0) | 1 << ci
     cand = set(index)
 
-    def solve(chosen: dict, uncov: set[int]):
+    def solve(chosen: dict, uncov: int):
         if nodes[0] == nodes[1]:
             raise BudgetExhausted(
                 f"sequence enumeration budget exhausted: {nodes[0]} search "
@@ -241,18 +250,23 @@ def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
         if not uncov:
             yield frozenset(chosen)
             return
-        ci = min(uncov, key=lambda i: len(constraints[i]))
+        ci = (uncov & -uncov).bit_length() - 1
         branch = sorted(cand & constraints[ci])
         cand.difference_update(branch)
         for e in branch:
-            hits = index[e] & uncov
-            new_crit = {v: crit - index[e] for v, crit in chosen.items()}
-            if all(new_crit.values()):  # else e makes an earlier pick redundant
-                new_crit[e] = hits
-                yield from solve(new_crit, uncov - hits)
+            hits = index[e]
+            new_crit = {}
+            for v, crit in chosen.items():
+                crit &= ~hits
+                if not crit:  # e makes an earlier pick redundant
+                    break
+                new_crit[v] = crit
+            else:
+                new_crit[e] = hits & uncov
+                yield from solve(new_crit, uncov & ~hits)
             cand.add(e)
 
-    yield from solve({}, set(range(len(constraints))))
+    yield from solve({}, (1 << len(constraints)) - 1)
 
 
 def enumerate_really_canonical_sequences(

@@ -127,7 +127,10 @@ def find_certificate(g: Graph, seq: WitnessSequence,
     that searches g against many sequences may pass one ``memo`` dict to
     every call, so that a family's answers are shared between them; by
     default each call starts an empty one.  Clique-family slots are
-    branched first since they prune fastest.
+    branched first since they prune fastest.  The search walks a plan of
+    one tuple per slot in branching order (the slot, its previous twin,
+    its family's answers and the family), so a probe that was answered
+    before is one dict lookup in the search loop itself.
 
     Slots with equal families are twins.  A vertex may open an empty slot
     only when the twin before it in branching order is already filled, so
@@ -139,41 +142,42 @@ def find_certificate(g: Graph, seq: WitnessSequence,
     assignment, only found without exploring every relabelling of the twins.
     """
     k = len(seq)
+    n = g.n
     order = sorted(range(k), key=lambda i: (0 if _clique_like(seq.parts[i]) else 1, i))
-    # (slot, its previous twin in branching order or None), in branching order
-    branches = []
+    memos: dict[FamilySpec, dict[int, bool]] = {} if memo is None else memo
+    # (slot, its previous twin in branching order or -1, its family's
+    # answers, its family), in branching order
+    plan = []
     last: dict[FamilySpec, int] = {}
     for i in order:
-        branches.append((i, last.get(seq.parts[i])))
-        last[seq.parts[i]] = i
-    memos: dict[FamilySpec, dict[int, bool]] = {} if memo is None else memo
-    slot_memo = [memos.setdefault(f, {}) for f in seq.parts]
-
-    def part_ok(i: int, mask: int) -> bool:
-        cache = slot_memo[i]
-        got = cache.get(mask)
-        if got is None:
-            got = cache[mask] = member(seq.parts[i], g, mask)
-        return got
-
-    if any(not part_ok(i, 0) for i in range(k)):
-        return None
+        f = seq.parts[i]
+        plan.append((i, last.get(f, -1), memos.setdefault(f, {}), f))
+        last[f] = i
+    for _, _, cache, f in plan:
+        if 0 not in cache:
+            cache[0] = member(f, g, 0)
+        if not cache[0]:
+            return None
     masks = [0] * k
-    assignment = [0] * g.n
+    assignment = [0] * n
 
     def rec(v: int) -> bool:
-        if v == g.n:
+        if v == n:
             return True
-        for i, twin in branches:
-            if twin is not None and not masks[i] and not masks[twin]:
+        bit = 1 << v
+        for i, twin, cache, f in plan:
+            if twin >= 0 and not masks[i] and not masks[twin]:
                 continue
-            m = masks[i] | 1 << v
-            if part_ok(i, m):
+            m = masks[i] | bit
+            got = cache.get(m)
+            if got is None:
+                got = cache[m] = member(f, g, m)
+            if got:
                 masks[i] = m
                 assignment[v] = i
                 if rec(v + 1):
                     return True
-                masks[i] = m ^ 1 << v
+                masks[i] = m ^ bit
         return False
 
     if not rec(0):

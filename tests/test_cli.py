@@ -160,6 +160,18 @@ def test_sequences_json_is_pinned(capsys, graph, k, digest):
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
+def test_c14_sequences_are_pinned_and_all_case1(capsys):
+    """C14 at k = wpn = 6: 37 sequences, each in case 1 of the paper's
+    C_{2l} case list for l > 5."""
+    assert main(["sequences", "--graph", "MhCGGC@?G?_@?@_?_", "--k", "6",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "7bdbd1c687cf91b4"
+    payload = json.loads(out)
+    assert payload["count"] == 37
+    assert {s["classification"] for s in payload["sequences"]} == {"case1"}
+
+
 def test_sequences_budget_exit_code(capsys):
     code = main(["sequences", "--graph", C6, "--k", "2", "--budget", "5"])
     assert code == 3
@@ -439,6 +451,31 @@ def test_unwritable_manifest_fails_before_any_shard(tmp_path, monkeypatch,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("wpn-lab: ") and str(path) in captured.err
+
+
+def test_unwritable_output_fails_before_any_shard(tmp_path, monkeypatch,
+                                                   capsys):
+    import wpnlab.census as census_module
+
+    def no_shard(config, prefix):
+        raise AssertionError("counted a shard")
+
+    monkeypatch.setattr(census_module, "_count_shard", no_shard)
+    path = tmp_path / "missing" / "x.json"
+    assert main(CENSUS_N5 + ["--threads", "1", "--output", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("wpn-lab: ") and str(path) in captured.err
+
+
+def test_output_probe_keeps_existing_files_and_leaves_no_new_one(tmp_path,
+                                                                 capsys):
+    kept, fresh = tmp_path / "kept.txt", tmp_path / "fresh.txt"
+    kept.write_text("earlier report\n")
+    for path in (kept, fresh):
+        assert main(["wpn", "not-a-graph6!!", "--output", str(path)]) == 2
+    assert kept.read_text() == "earlier report\n"
+    assert not fresh.exists()
 
 
 def test_threads_env_default(monkeypatch, capsys):

@@ -253,11 +253,11 @@ def test_constraints_match_every_ordering():
 
 def test_c12_search_node_count_is_pinned():
     """The budget counts MMCS nodes, and their number follows the order of
-    the kept constraints: C12 with k = 5 takes 16898 of them."""
+    the kept constraints: C12 with k = 5 takes 13605 of them."""
     h = cycle(12)
-    assert len(enumerate_really_canonical_sequences(h, 5, budget=16898)) == 31
-    with pytest.raises(BudgetExhausted, match="16897 search nodes used"):
-        enumerate_really_canonical_sequences(h, 5, budget=16897)
+    assert len(enumerate_really_canonical_sequences(h, 5, budget=13605)) == 31
+    with pytest.raises(BudgetExhausted, match="13604 search nodes used"):
+        enumerate_really_canonical_sequences(h, 5, budget=13604)
 
 
 def test_no_poset_when_no_slot_type_can_witness(monkeypatch):
@@ -429,9 +429,17 @@ def test_minimal_hitting_sets_match_brute_force():
         edges = [frozenset(e for e in universe if rng.random() < 0.4)
                  for _ in range(rng.randint(1, 7))]
         edges = [e for e in edges if e] or [frozenset(universe)]
-        got = list(_minimal_hitting_sets(edges, [0, 10 ** 6]))
+        nodes = [0, 10 ** 6]
+        got = list(_minimal_hitting_sets(edges, nodes))
         assert len(got) == len(set(got)), edges          # each yielded once
         assert set(got) == _brute_minimal_hitting_sets(edges, universe), edges
+        # a budget of exactly the nodes used suffices, and one less raises
+        used = nodes[0]
+        assert list(_minimal_hitting_sets(edges, [0, used])) == got
+        with pytest.raises(BudgetExhausted,
+                           match=f"^sequence enumeration budget exhausted: {used - 1} "
+                                 f"search nodes used of a budget of {used - 1}$"):
+            list(_minimal_hitting_sets(edges, [0, used - 1]))
 
 
 def test_case_one_is_the_theorem_sequence_with_cliques_widened():
