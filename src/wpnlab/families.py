@@ -132,8 +132,6 @@ def _every_co_component(test):
 
 _RECOGNIZERS = {
     "clique": _is_clique,
-    "clique-or-e2": lambda adj, s: _is_clique(adj, s) or (
-        s.bit_count() == 2 and _is_stable(adj, s)),
     "stable": _is_stable,
     "co-girth-5": _is_cogirth5,
     "stars-triangles-co": _every_co_component(

@@ -18,9 +18,11 @@ so no containment test is made.
 
 The realizable multisets of part classes are memoised by the class of the
 vertex set being split, since isomorphic vertex sets split into the same
-multisets.  Slots of one type are interchangeable, so the constraints are
-built once per multiset and choice of the classes on the clique slots, not
-once per ordering; only the minimal ones are expanded over the slot
+multisets; for the same reason the tails of a split are merged once per
+pair of classes of the block and of the rest, not once per block.  Slots
+of one type are interchangeable, so the constraints are built once per
+multiset and choice of the classes on the clique slots, not once per
+ordering; only the minimal ones are expanded over the slot
 permutations.  MMCS branches on the first uncovered constraint in an order
 defined by their content alone, so that order fixes its node count (the
 budget's unit); the hitting sets it yields do not depend on it.  A split
@@ -34,7 +36,11 @@ Each cycle C_{2l} has a case list of slot targets.  Case 1 is the theorem's
 own sequence for C_{2l} with each clique slot widened to cliques-or-tiny;
 the later cases of C6 and C8 are written out.  A sequence is in a case when
 some bijection of its families onto the case's slots puts each family
-inside its slot's target, and it takes the first case it is in.
+inside its slot's target, and it takes the first case it is in.  Before
+that, each sequence is re-checked to be witnessing by an exhaustive
+certificate search that reads the generators of Aut(h) and lets the
+vertices of vertex 0's orbit take no slot branched before vertex 0's, so
+it does not walk every image of a partial assignment under Aut(h).
 """
 
 from __future__ import annotations
@@ -119,7 +125,9 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
 
     The memo is keyed by the class of the mask being split: an isomorphism
     from h[m] to h[m'] maps each partition of m to a partition of m' with
-    the same multiset of part classes.
+    the same multiset of part classes.  For the same reason two blocks of
+    one class whose rests share a class give the same tails, so the tails
+    are merged once per (class of block, class of rest) pair.
     """
     empty_class = poset.class_of_mask[0]
     cls = poset.class_of_mask
@@ -134,19 +142,22 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
         got = memo.get(key)
         if got is not None:
             return got
-        out: set[tuple[int, ...]] = set()
         low = mask & -mask
         rest = mask ^ low
-        # iterate over all blocks containing the lowest vertex
+        # one vertex set left over per (class of block, class of the rest),
+        # over all blocks containing the lowest vertex
+        pairs: dict[tuple[int, int], int] = {}
         sub = rest
         while True:
             block = sub | low
-            c = cls[block]
-            for tail in solve(mask ^ block, blocks - 1):
-                out.add(tuple(sorted(tail + (c,))))
+            pairs.setdefault((cls[block], cls[mask ^ block]), mask ^ block)
             if sub == 0:
                 break
             sub = (sub - 1) & rest
+        out: set[tuple[int, ...]] = set()
+        for (c, _), other in pairs.items():
+            for tail in solve(other, blocks - 1):
+                out.add(tuple(sorted(tail + (c,))))
         memo[key] = out
         return out
 

@@ -72,8 +72,6 @@ def test_membership_spot_checks():
                   clique(3).disjoint_union(empty(2)))
     assert not member(FamilySpec.named("clique-union-stable"),
                       clique(3).disjoint_union(clique(2)))
-    assert member(FamilySpec.named("clique-or-e2"), empty(2))
-    assert not member(FamilySpec.named("clique-or-e2"), empty(3))
 
 
 def test_class_generation_is_pinned():
@@ -155,12 +153,12 @@ def test_membership_is_pinned():
         "1" if member(FamilySpec.named(name), g) else "0" for g in classes)
         for name in NAMED_FAMILIES)
     assert hashlib.sha256(text.encode()).hexdigest() == \
-        "70e36bbcd9df23a4fd678a0d957f0065cee3988ada64c88bc16f91379730f042"
+        "5a2b1d7f442de9511952266d6f50a74fe11d363899d1b8700756952018d0f55d"
     bases = "".join(
         name + ":" + ",".join(emit_graph6(p) for p in named_forbidden_basis(name)) + "\n"
         for name in NAMED_FAMILIES if name not in ("bipartite", "co-bipartite"))
     assert hashlib.sha256(bases.encode()).hexdigest() == \
-        "e8ca091133d19142844ff8e86fd6fdf361426f43f1eefe12d08bfd59de5b1641"
+        "66116dcba70d9a4305f7aceacf25263b2d7054550e67443a88a2be95596c56d1"
 
 
 def test_member_on_a_mask_equals_member_on_the_induced_subgraph():

@@ -2,10 +2,11 @@ import functools
 import itertools
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wpnlab.families import FamilySpec, member
 from wpnlab.graphs import (
+    _canon_cached,
     clique,
     contains_induced,
     cycle,
@@ -231,7 +232,7 @@ def _unpruned_certificate(g, seq):
     """Reference search: find_certificate's slot order, no twin pruning."""
     k = len(seq)
     order = sorted(range(k), key=lambda i: (
-        seq.parts[i].name not in ("clique", "clique-or-e2"), i))
+        seq.parts[i].name != "clique", i))
     masks = [0] * k
     assignment = [0] * g.n
 
@@ -256,6 +257,12 @@ def _unpruned_certificate(g, seq):
 @pytest.mark.parametrize("seq", REPEATED_FAMILY_SEQUENCES,
                          ids=lambda s: "+".join(f.label() for f in s.parts))
 @given(g=graphs_up_to_7)
+@example(g=cycle(6))
+@example(g=TWO_K3.complement())   # K3,3
+@example(g=empty(6))
+@example(g=clique(6))
+@example(g=TWO_K3)
+@example(g=cycle(5).disjoint_union(empty(1)))
 @settings(max_examples=25, deadline=None)
 def test_find_certificate_matches_brute_force_and_unpruned_search(seq, g):
     k = len(seq)
@@ -276,6 +283,26 @@ def test_find_certificate_matches_brute_force_and_unpruned_search(seq, g):
         assert cert.partition.assignment == _unpruned_certificate(g, seq)
     else:
         assert _unpruned_certificate(g, seq) is None
+    # the orbit rule keeps the first certificate too
+    assert find_certificate(g, seq, gens=_canon_cached(g.n, g.adj).gens) == cert
+
+
+def test_generators_that_are_not_automorphisms_are_ignored():
+    """(0 1) is no automorphism of P4, so vertex 1 keeps its whole plan.
+    Taken as one, it would keep vertex 1 out of the clique slot, which is
+    branched before vertex 0's stable slot, and so lose P4's only split
+    into a clique and a stable set, {1, 2} and {0, 3}."""
+    p4 = path(4)
+    swap, flip = (1, 0, 2, 3), (3, 2, 1, 0)
+    seqs = REPEATED_FAMILY_SEQUENCES + [
+        WitnessSequence((CLIQUE, STABLE)), WitnessSequence((STABLE, CLIQUE)),
+        WitnessSequence((CLUSTER, STABLE)), WitnessSequence((COGIRTH5, CLIQUE)),
+        WitnessSequence((CLIQUE, CLIQUE))]
+    for seq in seqs:
+        cert = find_certificate(p4, seq)
+        for gens in ([swap], [swap, flip], [(1, 0)], [(0, 0, 2, 3)]):
+            assert find_certificate(p4, seq, gens=gens) == cert, (seq, gens)
+    assert find_certificate(p4, WitnessSequence((CLIQUE, STABLE))) is not None
 
 
 @given(graphs_up_to_6, st.lists(st.lists(st.sampled_from(
