@@ -29,8 +29,6 @@ from .families import (  # noqa: F401
 )
 from .witnessing import (  # noqa: F401
     BudgetExhausted,
-    Partition,
-    PartitionCertificate,
     WitnessSequence,
     find_certificate,
     is_really_canonical,

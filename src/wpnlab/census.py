@@ -33,7 +33,7 @@ import os
 from dataclasses import dataclass, field
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from time import monotonic
 
 from .families import (
@@ -52,7 +52,7 @@ from .graphs import (
     is_isomorphic,
     parse_graph6,
 )
-from .witnessing import _theorem_l, theorem_certifier, theorem_cycle, theorem_sequence
+from .witnessing import find_certificate, theorem_cycle, theorem_sequence
 
 # A labeled C6 census at n = 7 (2^21 graphs) takes about 18.5 CPU s; the
 # 2^28 graphs of n = 8 extrapolate to about 1.4 CPU hours, never run.
@@ -217,12 +217,10 @@ class CensusConfig:
         nmax = MAX_LABELED_N if self.mode == "labeled" else MAX_UNLABELED_N
         if not 1 <= self.n <= nmax:
             raise ValueError(f"{self.mode} census supports 1 <= n <= {nmax}")
-        m = 2 * _theorem_l(self.theorem)
-        forb = parse_graph6(self.forbidden_g6)
-        # the vertex counts first: C_m is built only when it fits a graph
-        if forb.n != m or not is_isomorphic(forb, theorem_cycle(self.theorem)):
+        cyc = theorem_cycle(self.theorem)
+        if not is_isomorphic(parse_graph6(self.forbidden_g6), cyc):
             raise ValueError(
-                f"theorem {self.theorem} expects the forbidden graph C{m}")
+                f"theorem {self.theorem} expects the forbidden graph C{cyc.n}")
         nbits = self.n * (self.n - 1) // 2
         if not 0 <= self.shard_prefix_bits <= min(nbits, 12):
             raise ValueError("bad shard prefix length")
@@ -268,17 +266,6 @@ class CensusReport:
         }
 
 
-def _certificate_parts(g: Graph, theorem: str):
-    """A certificate of g as part masks in the theorem's slot order, or
-    None.  c6 keeps its maximal-stable-set search, the faster one."""
-    if theorem == "c6":
-        return c6_certificate(g)
-    cert = theorem_certifier(g, theorem)
-    if cert is None:
-        return None
-    return map(cert.partition.part_mask, range(cert.partition.arity))
-
-
 def _holds(adj, hint) -> bool:
     """Every (recognizer, part mask) pair of ``hint`` accepts its part."""
     for recognize, mask in hint:
@@ -292,12 +279,16 @@ def _fold(config: CensusConfig, weighted_graphs) -> tuple[int, int, int]:
 
     Each H-free graph is offered the last certificate first, as (family
     recognizer, part mask) pairs, last slot first: cliques and stable sets
-    fail fastest.  Else the theorem's search runs.  The soundness
-    cross-check runs on a validated copy of every certifiable graph when
-    n <= 6, else of every 1024th one visited, counted without weights."""
+    fail fastest.  Else the theorem's search runs, which gives part masks
+    in the theorem's slot order.  The soundness cross-check runs on a
+    validated copy of every certifiable graph when n <= 6, else of every
+    1024th one visited, counted without weights."""
     forb = theorem_cycle(config.theorem)
-    recognizers = [_RECOGNIZERS[f.name]
-                   for f in theorem_sequence(config.theorem).parts]
+    seq = theorem_sequence(config.theorem)
+    recognizers = [_RECOGNIZERS[f.name] for f in seq.parts]
+    # c6 keeps its maximal-stable-set search, the faster one
+    search = c6_certificate if config.theorem == "c6" else \
+        partial(find_certificate, seq=seq)
     exhaustive_check = config.n <= 6
     total = hfree = certifiable = checked = 0
     hint = None
@@ -307,7 +298,7 @@ def _fold(config: CensusConfig, weighted_graphs) -> tuple[int, int, int]:
             continue
         hfree += w
         if hint is None or not _holds(g.adj, hint):
-            parts = _certificate_parts(g, config.theorem)
+            parts = search(g)
             if parts is None:
                 continue
             hint = list(zip(recognizers, parts))[::-1]

@@ -35,12 +35,14 @@ from .counting import (
     vertices_in_blocks_larger_than,
 )
 from .families import NoFiniteBasisError
-from .graphs import Graph, Graph6Error, emit_graph6, parse_adjacency_text, parse_graph6
+from .graphs import Graph, Graph6Error, bits, emit_graph6, parse_adjacency_text, \
+    parse_graph6
 from .sequences import classifiable, classify_sequence, \
     enumerate_really_canonical_sequences
 from .witnessing import (
     BudgetExhausted,
     theorem_certifier,
+    theorem_sequence,
     verify_cycle_partition_claims,
     wpn,
 )
@@ -120,18 +122,22 @@ def _cmd_wpn(args) -> int:
 
 def _cmd_certify(args) -> int:
     g = _read_graph(args.graph)
-    cert = theorem_certifier(g, args.theorem)
+    masks = theorem_certifier(g, args.theorem)
     config = {"command": "certify", "graph": emit_graph6(g),
               "theorem": args.theorem}
-    if cert is None:
+    if masks is None:
         _emit(args, _envelope("certify", config, {"certificate": None}),
               ["NONE"])
         return EXIT_OK
+    assignment = [0] * g.n
+    for i, m in enumerate(masks):
+        for v in bits(m):
+            assignment[v] = i
     data = {
         "certificate": {
-            "arity": cert.partition.arity,
-            "assignment": list(cert.partition.assignment),
-            "families": [f.label() for f in cert.sequence.parts],
+            "arity": len(masks),
+            "assignment": assignment,
+            "families": [f.label() for f in theorem_sequence(args.theorem).parts],
         }
     }
     _emit(args, _envelope("certify", config, data),

@@ -3,7 +3,7 @@
 Everything downstream (family recognizers, witnessing-partition search, the
 census) works on these immutable graphs.  Vertex sets are plain Python ints
 used as bitmasks, so all set operations are single machine-word ops for the
-graph sizes we care about (census n <= 9, cycles up to C14).
+graph sizes we care about (census n <= 9, `sequences` up to 16 vertices).
 """
 
 from __future__ import annotations

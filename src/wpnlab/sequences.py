@@ -167,18 +167,23 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
     return result
 
 
+def _distinct_slots(allowed) -> bool:
+    """Whether the items can take distinct slots, each item one in its
+    slot bitmask of ``allowed``.  ``reach`` holds the sets of slots that
+    the items placed so far can fill."""
+    reach = {0}
+    for free in allowed:
+        reach = {used | 1 << i for used in reach for i in bits(free & ~used)}
+        if not reach:
+            return False
+    return True
+
+
 def _fits(small: tuple[int, ...], big: tuple[int, ...]) -> bool:
     """Whether some bijection of slots sends each pattern mask of small to
-    a mask of big that contains it.  ``reach`` holds the sets of slots of
-    big that the masks placed so far can fill; empty masks fit anywhere."""
-    reach = {0}
-    for m in small:
-        if m:
-            reach = {used | 1 << i for used in reach for i, b in enumerate(big)
-                     if not used >> i & 1 and m & ~b == 0}
-            if not reach:
-                return False
-    return True
+    a mask of big that contains it; empty masks fit anywhere."""
+    return _distinct_slots(sum(1 << i for i, b in enumerate(big) if m & ~b == 0)
+                           for m in small if m)
 
 
 def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
@@ -374,8 +379,8 @@ def _in_case(fams: tuple[FamilySpec, ...], slots: tuple[str, ...]) -> bool:
     """Whether some bijection of the families onto the slots puts each
     family inside its slot's target."""
     inside = {t: [family_subset(f, _target(t)) for f in fams] for t in set(slots)}
-    return any(all(inside[t][i] for i, t in zip(order, slots))
-               for order in itertools.permutations(range(len(fams))))
+    return _distinct_slots(sum(1 << j for j, t in enumerate(slots) if inside[t][i])
+                           for i in range(len(fams)))
 
 
 @lru_cache(maxsize=8)

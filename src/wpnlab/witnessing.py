@@ -13,29 +13,8 @@ import re
 from dataclasses import dataclass
 
 from .families import FamilySpec, basis_of, member
-from .graphs import Graph, _canon_cached, _orbits, bits, clique, cycle, empty, \
-    is_isomorphic, path
-
-
-@dataclass(frozen=True)
-class Partition:
-    """Total assignment vertex -> part index with declared arity."""
-
-    arity: int
-    assignment: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.arity < 1:
-            raise ValueError("arity must be positive")
-        if any(not 0 <= a < self.arity for a in self.assignment):
-            raise ValueError("assignment entry out of range")
-
-    def part_mask(self, i: int) -> int:
-        m = 0
-        for v, a in enumerate(self.assignment):
-            if a == i:
-                m |= 1 << v
-        return m
+from .graphs import MAX_VERTICES, Graph, _canon_cached, _orbits, bits, clique, \
+    cycle, empty, is_isomorphic, path
 
 
 @dataclass(frozen=True)
@@ -48,16 +27,6 @@ class WitnessSequence:
 
     def __len__(self) -> int:
         return len(self.parts)
-
-
-@dataclass(frozen=True)
-class PartitionCertificate:
-    partition: Partition
-    sequence: WitnessSequence
-
-    def verify(self, g: Graph) -> bool:
-        return all(member(f, g, self.partition.part_mask(i))
-                   for i, f in enumerate(self.sequence.parts))
 
 
 class BudgetExhausted(RuntimeError):
@@ -123,8 +92,9 @@ def _automorphisms(g: Graph, gens) -> list[tuple[int, ...]]:
 
 
 def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
-                     gens=()) -> PartitionCertificate | None:
-    """A partition of V(g) with part i inside family i, or None.
+                     gens=()) -> tuple[int, ...] | None:
+    """A partition of V(g) with part i inside family i, as one vertex mask
+    per slot in the sequence's order (parts may be empty), or None.
 
     Backtracking vertex by vertex; heredity makes pruning on the current
     part content sound.  Each probe is ``member`` on the part's vertex
@@ -184,10 +154,8 @@ def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
         if not cache[0]:
             return None
     if n == 0:
-        return PartitionCertificate(partition=Partition(arity=k, assignment=()),
-                                    sequence=seq)
+        return (0,) * k
     masks = [0] * k
-    assignment = [0] * n
     # the slots each vertex may take, in branching order
     plans = [plan] * n
     later: list[int] = []     # the vertices of vertex 0's orbit after it
@@ -208,7 +176,6 @@ def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
                 got = cache[m] = member(f, g, m)
             if got:
                 masks[i] = m
-                assignment[v] = i
                 if rec(v + 1):
                     return True
                 masks[i] = m ^ bit
@@ -222,10 +189,7 @@ def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
         for u in later:
             plans[u] = tail
         if rec(0):
-            return PartitionCertificate(
-                partition=Partition(arity=k, assignment=tuple(assignment)),
-                sequence=seq,
-            )
+            return tuple(masks)
     return None
 
 
@@ -234,7 +198,8 @@ def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
 
 def _theorem_l(theorem: str) -> int:
     """Half the cycle length of theorem 'c6', 'c8', 'c10' or 'c2l:<l>'
-    (l > 5)."""
+    (5 < l <= 32): C_{2l} must be a graph wpnlab holds, and every such
+    graph is C_{2l}-free for any larger l."""
     fixed = {"c6": 3, "c8": 4, "c10": 5}
     if theorem in fixed:
         return fixed[theorem]
@@ -242,8 +207,8 @@ def _theorem_l(theorem: str) -> int:
     if not re.fullmatch(r"c2l:[1-9][0-9]*", theorem):
         raise ValueError(f"unknown theorem {theorem!r}")
     l = int(theorem[len("c2l:"):])
-    if l <= 5:
-        raise ValueError("c2l theorem requires l > 5")
+    if not 5 < l <= MAX_VERTICES // 2:
+        raise ValueError(f"c2l theorem requires 5 < l <= {MAX_VERTICES // 2}")
     return l
 
 
@@ -262,7 +227,7 @@ def theorem_cycle(theorem: str) -> Graph:
     return cycle(2 * _theorem_l(theorem))
 
 
-def theorem_certifier(g: Graph, theorem: str) -> PartitionCertificate | None:
+def theorem_certifier(g: Graph, theorem: str) -> tuple[int, ...] | None:
     return find_certificate(g, theorem_sequence(theorem))
 
 

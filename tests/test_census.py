@@ -37,13 +37,13 @@ from wpnlab.graphs import (
 )
 from wpnlab.graphs import Graph
 from wpnlab.witnessing import (
-    Partition,
-    PartitionCertificate,
     find_certificate,
     theorem_certifier,
     theorem_cycle,
     theorem_sequence,
 )
+
+from .test_witnessing import _is_certificate
 
 
 def test_labeled_cap_rejects_larger_n():
@@ -113,12 +113,11 @@ def test_c6_certificate_matches_generic_certificate_search():
         for mask in range(1 << n * (n - 1) // 2):
             g = graph_from_edge_mask(n, mask)
             parts = c6_certificate(g)
-            assert (parts is None) == (find_certificate(g, seq) is None)
+            cert = find_certificate(g, seq)
+            assert (parts is None) == (cert is None)
             if parts is not None:
-                assignment = tuple(parts[1] >> v & 1 for v in range(n))
-                assert parts[0] == g.vertex_mask() ^ parts[1]
-                assert PartitionCertificate(Partition(2, assignment),
-                                            seq).verify(g)
+                assert _is_certificate(g, seq, parts)
+                assert _is_certificate(g, seq, cert)
 
 
 @pytest.mark.parametrize("theorem", ["c6", "c8"])
