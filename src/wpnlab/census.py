@@ -54,8 +54,8 @@ from .graphs import (
 )
 from .witnessing import find_certificate, theorem_cycle, theorem_sequence
 
-# A labeled C6 census at n = 7 (2^21 graphs) takes about 18.5 CPU s; the
-# 2^28 graphs of n = 8 extrapolate to about 1.4 CPU hours, never run.
+# A labeled C6 census at n = 7 (2^21 graphs) takes about 12.3 CPU s; the
+# 2^28 graphs of n = 8 extrapolate to about 0.7-1.1 CPU hours, never run.
 MAX_LABELED_N = 7
 # A whole n = 9 C6 census (274668 classes) takes 110 CPU s and 167 MB on
 # one CPU of a 2-vCPU machine; n = 10 has about 12 million classes.
@@ -129,8 +129,9 @@ def _shard_graphs(n: int, prefix: int, low: int):
 
 
 @lru_cache(maxsize=None)
-def _subset_masks(n: int, m: int) -> tuple[int, ...]:
-    return tuple(sum(1 << v for v in combo)
+def _subset_masks(n: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, vertex tuple) for every m-subset of range(n)."""
+    return tuple((sum(1 << v for v in combo), combo)
                  for combo in itertools.combinations(range(n), m))
 
 
@@ -138,27 +139,25 @@ def has_induced_cycle(g: Graph, m: int) -> bool:
     """Induced C_m on m chosen vertices = 2-regular and connected there."""
     if m > g.n:
         return False
-    for mask in _subset_masks(g.n, m):
-        degs_ok = True
-        for v in bits(mask):
-            if (g.adj[v] & mask).bit_count() != 2:
-                degs_ok = False
+    adj = g.adj
+    for mask, verts in _subset_masks(g.n, m):
+        for v in verts:
+            if (adj[v] & mask).bit_count() != 2:
                 break
-        if not degs_ok:
-            continue
-        # 2-regular on m vertices is a disjoint union of cycles; connected
-        # iff a walk from any start covers all m vertices
-        start = (mask & -mask).bit_length() - 1
-        seen = 1 << start
-        frontier = g.adj[start] & mask
-        while frontier:
-            seen |= frontier
-            nxt = 0
-            for v in bits(frontier):
-                nxt |= g.adj[v] & mask
-            frontier = nxt & ~seen
-        if seen == mask:
-            return True
+        else:
+            # 2-regular on m vertices is a disjoint union of cycles;
+            # connected iff a walk from any start covers all m vertices
+            start = verts[0]
+            seen = 1 << start
+            frontier = adj[start] & mask
+            while frontier:
+                seen |= frontier
+                nxt = 0
+                for v in bits(frontier):
+                    nxt |= adj[v] & mask
+                frontier = nxt & ~seen
+            if seen == mask:
+                return True
     return False
 
 

@@ -105,13 +105,19 @@ def _is_cograph(adj, s: int) -> bool:
 
 def _is_cogirth5(adj, s: int) -> bool:
     """The complement has girth >= 5: no stable triple (a complement
-    triangle) and no induced 2K2 (a complement C4)."""
-    for u in bits(s):
-        for v in bits(s >> u + 1 << u + 1):
-            apart = s & ~(adj[u] | adj[v] | 1 << u | 1 << v)
-            if apart and (not adj[u] >> v & 1
-                          or any(adj[w] & apart for w in bits(apart))):
+    triangle) and no induced 2K2 (a complement C4).  So two vertices
+    adjacent in the complement share no neighbour there, and two
+    non-adjacent ones share at most one; one pass over pairs of
+    complement rows checks both."""
+    rows = []
+    for v in bits(s):
+        cv = s & ~adj[v] ^ 1 << v
+        bv = 1 << v
+        for cu in rows:
+            common = cu & cv
+            if common and (cu & bv or common & common - 1):
                 return False
+        rows.append(cv)
     return True
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 MAX_VERTICES = 64
 
@@ -20,12 +20,31 @@ class Graph6Error(ValueError):
     """Malformed graph6 input."""
 
 
-def bits(mask: int) -> Iterator[int]:
-    """Yield the set bit positions of a mask, lowest first."""
+def _bit_table(width: int) -> tuple[tuple[int, ...], ...]:
+    """The set bit positions of every mask below 2^width, indexed by mask:
+    the masks with top bit b are those below 2^b, each with b appended."""
+    table = [()]
+    for b in range(width):
+        table += [t + (b,) for t in table]
+    return tuple(table)
+
+
+# Wide enough for every census mask (n <= 9); 1024 tuples.
+_BIT_TABLE = _bit_table(10)
+_BIT_TABLE_SIZE = len(_BIT_TABLE)
+
+
+def bits(mask: int) -> tuple[int, ...]:
+    """Return the set bit positions of a nonnegative mask as a tuple,
+    lowest first: looked up for masks below 2^10, else built bit by bit."""
+    if mask < _BIT_TABLE_SIZE:
+        return _BIT_TABLE[mask]
+    out = []
     while mask:
         b = mask & -mask
-        yield b.bit_length() - 1
+        out.append(b.bit_length() - 1)
         mask ^= b
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -112,7 +131,7 @@ class Graph:
         increasing original order."""
         if s & ~self.vertex_mask():
             raise ValueError("vertex set outside graph range")
-        verts = list(bits(s))
+        verts = bits(s)
         pos = {v: i for i, v in enumerate(verts)}
         rows = []
         for v in verts:
@@ -209,7 +228,7 @@ def contains_induced(g: Graph, h: Graph, within: int | None = None) -> bool:
     """
     if h.n == 0:
         return True
-    hosts = range(g.n) if within is None else list(bits(within))
+    hosts = range(g.n) if within is None else bits(within)
     if h.n > len(hosts):
         return False
     order = sorted(range(h.n), key=lambda v: (-h.degree(v), v))

@@ -267,7 +267,7 @@ def partition_into_parts(g: Graph, parts: list[Graph]) -> list[int] | None:
         if not unused:
             return True
         low = remaining & -remaining
-        pool = list(bits(remaining & ~low))
+        pool = bits(remaining & ~low)
         tried: set = set()
         for pos, i in enumerate(unused):
             key = canonical_key(parts[i])

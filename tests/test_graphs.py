@@ -268,3 +268,23 @@ def test_parsers_raise_only_value_errors(text):
 def test_bits_iterator():
     assert list(bits(0b10110)) == [1, 2, 4]
     assert list(bits(0)) == []
+
+
+def _reference_bits(mask):
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def test_bits_matches_the_bit_loop_on_table_edges_and_wide_masks():
+    rng = random.Random(18)
+    wide = [rng.getrandbits(rng.randint(1, 64)) for _ in range(200)]
+    edges = [0, (1 << 10) - 1, 1 << 10, (1 << 10) + 1]
+    for mask in [*range(1 << 12), *edges, *wide]:
+        got = bits(mask)
+        assert type(got) is tuple and list(got) == _reference_bits(mask)
+    assert bits(1 << 63) == (63,)
+    assert bits((1 << 64) - 1) == tuple(range(64))
