@@ -10,6 +10,7 @@ floating point.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -214,9 +215,10 @@ class SetPartition:
         for b in self.blocks:
             if not b:
                 raise ValueError("empty block")
-            if seen & set(b):
-                raise ValueError("overlapping blocks")
+            size = len(seen)
             seen.update(b)
+            if len(seen) != size + len(b):  # a repeat within b counts too
+                raise ValueError("overlapping blocks")
         if seen != set(range(self.n)):
             raise ValueError("blocks do not cover the ground set")
 
@@ -258,7 +260,11 @@ def _urn_weight_table(n: int) -> tuple[tuple[int, ...], int]:
         powers.append(u ** n)
         mass = u * mass + powers[-1]
         a, b = powers[-1] // u, powers[-2]
-        if a < b and powers[-1] * a << 100 < mass * (b - a):
+        # a bit-length test the exact one cannot pass without, so its two
+        # big products are formed only when it can pass
+        if (a < b and powers[-1].bit_length() + a.bit_length() + 99
+                <= mass.bit_length() + (b - a).bit_length()
+                and powers[-1] * a << 100 < mass * (b - a)):
             break
     weights = []
     scale = 1      # T!/u!
@@ -285,16 +291,24 @@ class UniformPartitionSampler:
         self._cum, self._total = _urn_weight_table(n)
 
     def sample(self) -> SetPartition:
-        import bisect
+        """One partition, blocks ordered by least element.
 
-        r = self._rng.randrange(self._total)
+        Each element's urn is drawn with `Random.randrange`'s own rejection
+        loop (k random bits, redrawn while >= u), inlined, so a seeded
+        sampler yields the same partitions as one that calls `randrange`.
+        """
+        rng = self._rng
+        r = rng.randrange(self._total)
         u = bisect.bisect_right(self._cum, r) + 1  # urn counts start at 1
+        getrandbits, k = rng.getrandbits, u.bit_length()
         urns: dict[int, list[int]] = {}
         for x in range(self.n):
-            urns.setdefault(self._rng.randrange(u), []).append(x)
-        blocks = tuple(sorted((tuple(b) for b in urns.values()),
-                              key=lambda b: b[0]))
-        return SetPartition(n=self.n, blocks=blocks)
+            j = getrandbits(k)
+            while j >= u:
+                j = getrandbits(k)
+            urns.setdefault(j, []).append(x)
+        # x runs upwards, so the urns are in order of their least element
+        return SetPartition(n=self.n, blocks=tuple(map(tuple, urns.values())))
 
 
 def sample_uniform_partition(n: int, seed: int) -> SetPartition:

@@ -352,6 +352,20 @@ def test_sample_partitions_csv(capsys):
         assert 1 <= b <= 6 and 0 <= ns <= b and 0 <= h <= 6
 
 
+@pytest.mark.parametrize("n, samples, seed, digest", [
+    (50, 2000, 7, "487c9b07d28b6f9f"),
+    (2000, 400, 7, "72ddea9af8f3e582"),
+    (6, 1000, 11, "0d4f769275e72393"),
+])
+def test_sample_partitions_json_is_pinned(capsys, n, samples, seed, digest):
+    """Seeded sampler reports, as the sampler drawing with `randrange`
+    wrote them."""
+    assert main(["sample-partitions", "--n", str(n), "--samples", str(samples),
+                 "--seed", str(seed), "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 def test_sample_partitions_json_and_determinism(capsys):
     code, p1 = _run_json(capsys, ["sample-partitions", "--n", "6",
                                   "--samples", "3", "--seed", "11"])

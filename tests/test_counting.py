@@ -1,3 +1,4 @@
+import bisect
 import inspect
 import itertools
 import math
@@ -143,6 +144,11 @@ def test_set_partition_validation():
         SetPartition(3, ((0, 1), (1, 2)))
     with pytest.raises(ValueError):
         SetPartition(4, ((0, 1), (2,)))
+    # an element repeated within one block overlaps that block
+    with pytest.raises(ValueError, match="overlapping"):
+        SetPartition(1, ((0, 0),))
+    with pytest.raises(ValueError, match="overlapping"):
+        SetPartition(3, ((0, 1, 1), (2,)))
 
 
 def test_partition_stats():
@@ -163,6 +169,36 @@ def test_sampler_determinism_and_bounds():
         UniformPartitionSampler(0, 1)
     with pytest.raises(ValueError):
         UniformPartitionSampler(2001, 1)
+
+
+def _randrange_sample(sampler):
+    """The urn count and blocks of one draw made as the sampler first made
+    it: `randrange(u)` per element, then blocks sorted by least element."""
+    rng = sampler._rng
+    r = rng.randrange(sampler._total)
+    u = bisect.bisect_right(sampler._cum, r) + 1
+    urns = {}
+    for x in range(sampler.n):
+        urns.setdefault(rng.randrange(u), []).append(x)
+    return u, tuple(sorted((tuple(b) for b in urns.values()),
+                           key=lambda b: b[0]))
+
+
+def test_sampler_stream_matches_randrange_reference():
+    """The inlined urn draw consumes the generator exactly as `randrange`
+    does, so seeded samples equal the reference's, across urn counts at
+    and around powers of two."""
+    urn_counts = set()
+    cases = [(n, seed, 5) for n in range(1, 13) for seed in range(50)]
+    cases += [(50, seed, 4) for seed in range(3)] + [(2000, 1, 2)]
+    for n, seed, samples in cases:
+        fast = UniformPartitionSampler(n, seed)
+        ref = UniformPartitionSampler(n, seed)
+        for _ in range(samples):
+            u, blocks = _randrange_sample(ref)
+            urn_counts.add(u)
+            assert fast.sample().blocks == blocks, (n, seed)
+    assert {1, 2, 3, 4, 5, 7, 8, 9} <= urn_counts
 
 
 def test_sampler_n1_and_n2():
@@ -193,7 +229,7 @@ def _fraction_urn_table(n):
 
 
 def test_urn_weight_table_matches_rational_reference():
-    for n in list(range(1, 80)) + [150, 500]:
+    for n in list(range(1, 80)) + [150, 500, 2000]:
         assert _urn_weight_table(n) == _fraction_urn_table(n), n
 
 
