@@ -57,8 +57,9 @@ from .witnessing import find_certificate, theorem_cycle, theorem_sequence
 # A labeled C6 census at n = 7 (2^21 graphs) takes about 12.3 CPU s; the
 # 2^28 graphs of n = 8 extrapolate to about 0.7-1.1 CPU hours, never run.
 MAX_LABELED_N = 7
-# A whole n = 9 C6 census (274668 classes) takes 110 CPU s and 167 MB on
-# one CPU of a 2-vCPU machine; n = 10 has about 12 million classes.
+# A whole n = 9 C6 census (274668 classes) takes about 61 CPU s and 166 MB
+# on one CPU of a 2-vCPU machine, most of it class generation; n = 10 has
+# about 12 million classes and was never run.
 MAX_UNLABELED_N = 9
 
 

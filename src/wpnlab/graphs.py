@@ -269,26 +269,37 @@ def is_isomorphic(g: Graph, h: Graph) -> bool:
 # -- canonical form via refinement + individualization -----------------------
 
 
-def _refine(g: Graph, colors: list[int]) -> list[int]:
-    n = g.n
+def _refine(nbrs, colors: list[int]) -> list[int]:
+    """The coarsest equitable colouring finer than ``colors``, ranked
+    0..k-1: colour refinement on the graph whose neighbour tuples are
+    ``nbrs``.  Each pass gives a vertex the rank of (its colour, the sorted
+    colours of its neighbours), so a pass only splits cells.  A pass that
+    leaves the number of cells unchanged leaves the partition unchanged, so
+    the partition is equitable and a further pass would return the same
+    ranked colouring; nor does a further pass change a discrete colouring.
+    So the loop returns at the first such pass, and a discrete input is
+    ranked directly, with no pass."""
+    n = len(colors)
+    cells = len(set(colors))
+    if cells == n:
+        ranking = {c: i for i, c in enumerate(sorted(colors))}
+        return [ranking[c] for c in colors]
     while True:
-        sigs = []
-        for v in range(n):
-            nb = sorted(colors[u] for u in bits(g.adj[v]))
-            sigs.append((colors[v], tuple(nb)))
+        sigs = [(c, tuple(sorted([colors[u] for u in nb])))
+                for c, nb in zip(colors, nbrs)]
         ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
-        new = [ranking[s] for s in sigs]
-        if new == colors:
+        colors = [ranking[s] for s in sigs]
+        if len(ranking) == cells or len(ranking) == n:
             return colors
-        colors = new
+        cells = len(ranking)
 
 
-def _encode(g: Graph, colors: list[int]) -> tuple[int, ...]:
+def _encode(nbrs, colors: list[int]) -> tuple[int, ...]:
     # colors is discrete: vertex v gets label colors[v]
-    rows = [0] * g.n
-    for v in range(g.n):
+    rows = [0] * len(colors)
+    for v, nb in enumerate(nbrs):
         row = 0
-        for u in bits(g.adj[v]):
+        for u in nb:
             row |= 1 << colors[u]
         rows[colors[v]] = row
     return tuple(rows)
@@ -310,21 +321,28 @@ _IDENTITY = tuple(tuple(range(n)) for n in range(MAX_VERTICES + 1))
 
 def _orbits(n: int, gens) -> list[int]:
     """Least point of each point's orbit under the group that the
-    permutations ``gens`` of range(n) generate."""
+    permutations ``gens`` of range(n) generate.  A union-find forest whose
+    links always point to a smaller point, so each root is its tree's least
+    point, and one pass in increasing order resolves every point."""
     root = list(range(n))
-
-    def find(v: int) -> int:
-        while root[v] != v:
-            root[v] = root[root[v]]
-            v = root[v]
-        return v
-
     for gamma in gens:
-        for v in range(n):
-            a, b = find(v), find(gamma[v])
-            if a != b:
-                root[max(a, b)] = min(a, b)
-    return [find(v) for v in range(n)]
+        for v, a in enumerate(gamma):
+            if a == v:
+                continue
+            b = v
+            while root[a] != a:
+                root[a] = root[root[a]]
+                a = root[a]
+            while root[b] != b:
+                root[b] = root[root[b]]
+                b = root[b]
+            if a < b:
+                root[b] = a
+            elif b < a:
+                root[a] = b
+    for v in range(n):
+        root[v] = root[root[v]]
+    return root
 
 
 def _fixing(gens, path) -> list[tuple[int, ...]]:
@@ -339,16 +357,18 @@ def _canon_search(g: Graph) -> Canon:
 
     A node of the search tree is an equitable colouring from ``_refine``;
     its children individualise, in vertex order, each vertex of its first
-    non-singleton colour cell.  The canonical rows are the least ``_encode``
-    over the leaves.  A leaf whose encoding equals the first leaf's or the
-    current best one's gives an automorphism, and the search returns to the
-    node where the two leaves' paths part.  A child is skipped when an
-    automorphism found so far that fixes the node's path maps it to a
-    sibling already searched.  Either way the skipped subtree is the image
-    of a searched one under an automorphism, so it holds no smaller leaf.
-    By orbit-stabiliser, |Aut| is the product along the first path of the
-    orbit size of each level's first child under the automorphisms found
-    that fix the path above it.
+    non-singleton colour cell.  The root refines the degree ranks, which
+    is exactly what a first pass from the one-cell colouring gives.  The
+    canonical rows are the least ``_encode`` over the leaves.  A leaf whose
+    encoding equals the first leaf's or the current best one's gives an
+    automorphism, and the search returns to the node where the two leaves'
+    paths part.  A child is skipped when an automorphism found so far that
+    fixes the node's path maps it to a sibling already searched.  Either
+    way the skipped subtree is the image of a searched one under an
+    automorphism, so it holds no smaller leaf.  By orbit-stabiliser, |Aut|
+    is the product along the first path of the orbit size of each level's
+    first child under the automorphisms found that fix the path above it;
+    once none fixes the path, every later factor is 1.
     """
     n = g.n
     ident = _IDENTITY[n]
@@ -359,6 +379,7 @@ def _canon_search(g: Graph) -> Canon:
             gens = ((1, 0) + ident[2:], ident[1:] + (0,))[:n - 1]
         return Canon(g.adj, math.factorial(n), gens, ident)
 
+    nbrs = [bits(row) for row in g.adj]
     gens: list[tuple[int, ...]] = []
     path: list[int] = []
     first = best = None   # (encoding, leaf colouring, path) of a leaf
@@ -372,18 +393,11 @@ def _canon_search(g: Graph) -> Canon:
     def rec(colors: list[int]) -> int:
         """Search below the node; return the depth to resume at."""
         nonlocal first, best
-        colors = _refine(g, colors)
+        colors = _refine(nbrs, colors)
         depth = len(path)
-        cell_of: dict[int, list[int]] = {}
-        for v, c in enumerate(colors):
-            cell_of.setdefault(c, []).append(v)
-        target = None
-        for c in sorted(cell_of):
-            if len(cell_of[c]) > 1:
-                target = cell_of[c]
-                break
-        if target is None:
-            enc = _encode(g, colors)
+        k = max(colors) + 1
+        if k == n:
+            enc = _encode(nbrs, colors)
             if first is None:
                 first = best = (enc, colors, path[:])
                 return depth
@@ -397,6 +411,10 @@ def _canon_search(g: Graph) -> Canon:
             if enc < best[0]:
                 best = (enc, colors, path[:])
             return depth
+        cells: list[list[int]] = [[] for _ in range(k)]
+        for v, c in enumerate(colors):
+            cells[c].append(v)
+        target = next(cell for cell in cells if len(cell) > 1)
         searched: list[int] = []
         orbit, known = ident, 0
         for v in target:
@@ -415,12 +433,17 @@ def _canon_search(g: Graph) -> Canon:
                 return back
         return depth
 
-    rec([0] * n)
-    first_path = first[2]
+    degs = [len(nb) for nb in nbrs]
+    ranking = {d: i for i, d in enumerate(sorted(set(degs)))}
+    rec([ranking[d] for d in degs])
     aut = 1
-    for k, v in enumerate(first_path):
-        orbit = _orbits(n, _fixing(gens, first_path[:k]))
+    fixing = gens
+    for v in first[2]:
+        if not fixing:
+            break
+        orbit = _orbits(n, fixing)
         aut *= orbit.count(orbit[v])
+        fixing = [gamma for gamma in fixing if gamma[v] == v]
     return Canon(best[0], aut, tuple(gens), tuple(best[1]))
 
 

@@ -95,6 +95,48 @@ def test_orbit_sizes_sum_to_labeled_count():
     assert automorphism_count(cycle(5)) == 10
 
 
+def _atlas_classes(n):
+    """(rows, n!/|Aut|) for every class on n <= 7 vertices, from networkx's
+    graph atlas and its own isomorphism search."""
+    import networkx as nx
+
+    out = []
+    for a in nx.graph_atlas_g():
+        if a.number_of_nodes() != n:
+            continue
+        rows = [0] * n
+        for u, v in a.edges():
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        aut = sum(1 for _ in nx.vf2pp_all_isomorphisms(a, a))
+        out.append((tuple(rows), math.factorial(n) // aut))
+    return out
+
+
+def test_unlabeled_census_at_eight_matches_atlas_extensions():
+    """An n = 8 oracle that shares no code with class generation.  A labeled
+    graph on 8 vertices is a labeled graph on the first 7 plus the
+    neighbourhood of vertex 7, so folding the 128 extensions of each class
+    on 7 vertices, weighted 7!/|Aut|, counts every labeled graph on 8."""
+    parents = _atlas_classes(7)
+    assert len(parents) == CLASS_COUNTS[7]
+    assert sum(w for _, w in parents) == 1 << 21
+
+    def extensions():
+        for rows, w in parents:
+            for nb in range(1 << 7):
+                yield Graph._trusted(8, tuple(
+                    row | (nb >> i & 1) << 7 for i, row in enumerate(rows))
+                    + (nb,)), w
+
+    for theorem, m in (("c6", 6), ("c8", 8), ("c10", 10)):
+        config = CensusConfig(n=8, forbidden_g6=emit_graph6(cycle(m)),
+                              theorem=theorem, mode="unlabeled")
+        report = census(8, cycle(m), theorem, mode="unlabeled")
+        assert _fold(config, extensions()) == \
+            (report.total, report.hfree, report.certifiable)
+
+
 def test_has_induced_cycle_matches_generic_check():
     for mask in range(1 << 10):
         g = graph_from_edge_mask(5, mask)

@@ -81,6 +81,13 @@ def test_class_generation_is_pinned():
         "090dfd76c396dffa8a91f283c90b9745c57546d9d95588a9a9fd9a19e684a317"
 
 
+def test_class_generation_is_pinned_at_eight_vertices():
+    """The graph6 list of the 12346 classes on 8 vertices, in order."""
+    text = "\n".join(emit_graph6(g) for g, _ in _unlabeled_level(8))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "f7c1124834c4739b248453a465316221b7345db90154b8d451cac1b1ff507db4"
+
+
 def test_levels_are_generated_once(monkeypatch):
     import wpnlab.families as fam
 

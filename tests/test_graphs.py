@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -11,7 +12,7 @@ from wpnlab.graphs import (
     Graph,
     Graph6Error,
     _canon_search,
-    _encode,
+    _orbits,
     _refine,
     automorphism_count,
     bits,
@@ -135,10 +136,38 @@ def test_automorphism_counts():
     assert automorphism_count(star(4)) == 24
 
 
+def _fixpoint_refine(g, colors):
+    """Colour refinement iterated until a pass changes no colour: the
+    reference for ``_refine``."""
+    n = g.n
+    while True:
+        sigs = []
+        for v in range(n):
+            nb = sorted(colors[u] for u in bits(g.adj[v]))
+            sigs.append((colors[v], tuple(nb)))
+        ranking = {s: i for i, s in enumerate(sorted(set(sigs)))}
+        new = [ranking[s] for s in sigs]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def _reference_encode(g, colors):
+    # colors is discrete: vertex v gets label colors[v]
+    rows = [0] * g.n
+    for v in range(g.n):
+        row = 0
+        for u in bits(g.adj[v]):
+            row |= 1 << colors[u]
+        rows[colors[v]] = row
+    return tuple(rows)
+
+
 def _unpruned_canon_search(g):
     """The canonical search without automorphism pruning: every leaf of the
     individualisation-refinement tree is visited, and |Aut| is the number of
-    leaves with the least encoding.  Reference for the pruned search."""
+    leaves with the least encoding.  Reference for the pruned search; it
+    uses its own refinement and encoding, not the module's."""
     n = g.n
     if n == 0:
         return (), 1
@@ -149,14 +178,14 @@ def _unpruned_canon_search(g):
     achievers = set()
 
     def rec(colors):
-        colors = _refine(g, colors)
+        colors = _fixpoint_refine(g, colors)
         cell_of = {}
         for v, c in enumerate(colors):
             cell_of.setdefault(c, []).append(v)
         target = next((cell_of[c] for c in sorted(cell_of)
                        if len(cell_of[c]) > 1), None)
         if target is None:
-            enc = _encode(g, colors)
+            enc = _reference_encode(g, colors)
             if best[0] is None or enc < best[0]:
                 best[0] = enc
                 achievers.clear()
@@ -172,21 +201,113 @@ def _unpruned_canon_search(g):
     return best[0], len(achievers)
 
 
+def _random_graph_on(rng, n, p=None):
+    p = rng.random() if p is None else p
+    return Graph.from_edges(n, [(i, j) for i in range(n) for j in range(i + 1, n)
+                                if rng.random() < p])
+
+
+def _symmetric_graphs():
+    """Graphs with many automorphisms.  All but 3K2 + K1 are regular, so
+    their root refinement does not split, and most are vertex-transitive."""
+    petersen = Graph.from_edges(10, [(i, (i + 1) % 5) for i in range(5)]
+                                + [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
+                                + [(i, i + 5) for i in range(5)])
+    wagner = Graph.from_edges(8, [(i, (i + 1) % 8) for i in range(8)]
+                              + [(i, i + 4) for i in range(4)])
+    cube = Graph.from_edges(8, [(v, v ^ 1 << b) for v in range(8) for b in range(3)
+                                if v < v ^ 1 << b])
+    prism = Graph.from_edges(12, [(i, (i + 1) % 6) for i in range(6)]
+                             + [(6 + i, 6 + (i + 1) % 6) for i in range(6)]
+                             + [(i, i + 6) for i in range(6)])
+    k2 = clique(2)
+    return [petersen, _complete_bipartite(3, 3), wagner, cube, prism,
+            cycle(4).disjoint_union(cycle(4)),
+            k2.disjoint_union(k2).disjoint_union(k2).disjoint_union(empty(1))]
+
+
 def test_pruned_search_matches_unpruned_reference():
     rng = random.Random(20140601)
     graphs = []
-    for g in classes_up_to(7):
+    for g in classes_up_to(7) + _symmetric_graphs():
         for _ in range(2):
             perm = list(range(g.n))
             rng.shuffle(perm)
             graphs.append(g.relabel(tuple(perm)))
     c12 = cycle(12)
     graphs += [c12.induced(s) for s in range(1 << 12)]
+    graphs += [_random_graph_on(rng, rng.randint(8, 11), rng.choice((0.3, 0.5, 0.7)))
+               for _ in range(50)]
     for g in graphs:
         c = _canon_search(g)
         assert (c.rows, c.aut) == _unpruned_canon_search(g), emit_graph6(g)
         assert g.relabel(c.lab).adj == c.rows
         assert all(g.relabel(gamma).adj == g.adj for gamma in c.gens)
+
+
+def test_refine_matches_the_fixpoint_reference():
+    """From ranked colourings and from the child form (2c, and 2c - 1 for
+    the individualised vertex), ``_refine`` returns what refining until
+    nothing changes returns."""
+    rng = random.Random(1998)
+    graphs = _symmetric_graphs() + [
+        _random_graph_on(rng, rng.randint(1, 12)) for _ in range(300)]
+    for g in graphs:
+        nbrs = [bits(row) for row in g.adj]
+        for _ in range(4):
+            k = rng.randint(1, g.n)
+            raw = [rng.randrange(k) for _ in range(g.n)]
+            rank = {c: i for i, c in enumerate(sorted(set(raw)))}
+            ranked = [rank[c] for c in raw]
+            node = _fixpoint_refine(g, ranked)
+            assert _refine(nbrs, ranked) == node
+            for base in (ranked, node):
+                for v in range(g.n):
+                    child = [2 * c for c in base]
+                    child[v] -= 1
+                    assert _refine(nbrs, child) == _fixpoint_refine(g, child)
+
+
+def test_orbits_are_least_points_of_the_generated_orbits():
+    rng = random.Random(2015)
+    for _ in range(300):
+        n = rng.randint(1, 40)
+        gens = []
+        for _ in range(rng.randint(0, 3)):
+            gamma = list(range(n))
+            for _ in range(rng.randint(0, 3)):  # a few transpositions
+                i, j = rng.randrange(n), rng.randrange(n)
+                gamma[i], gamma[j] = gamma[j], gamma[i]
+            gens.append(tuple(gamma))
+        expected = []
+        for v in range(n):
+            orbit, frontier = {v}, [v]
+            while frontier:
+                u = frontier.pop()
+                for gamma in gens:
+                    if gamma[u] not in orbit:
+                        orbit.add(gamma[u])
+                        frontier.append(gamma[u])
+            expected.append(min(orbit))
+        assert _orbits(n, gens) == expected
+
+
+def _pinned_search_inputs():
+    rng = random.Random(2014)
+    graphs = [_random_graph_on(rng, rng.randint(0, 14)) for _ in range(300)]
+    graphs += [cycle(k) for k in range(3, 17)]
+    graphs += [_complete_bipartite(a, b)
+               for a in range(1, 12) for b in range(a, 13 - a)]
+    return graphs
+
+
+def test_canonical_search_is_pinned():
+    """Rows and |Aut| of the search on a fixed list of graphs on up to 16
+    vertices, beyond the classes that class generation pins."""
+    text = "\n".join(f"{c.rows} {c.aut}"
+                     for c in map(_canon_search, _pinned_search_inputs()))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "208ab1463e130efd0c7d1d509376587127c2e25c123b1fb4a6e6c3c29b272d59"
 
 
 def _complete_bipartite(a, b):
