@@ -26,15 +26,16 @@ def main() -> None:
         k = wpn(g)
         t0 = time.process_time()
         seqs = enumerate_really_canonical_sequences(g, k)
-        labels = Counter(classify_sequence(g, s) for s in seqs)
+        labels = [classify_sequence(g, s) for s in seqs]
+        tally = Counter(labels)
         print(f"C{n} (k={k}): {len(seqs)} sequences, "
-              f"{dict(sorted(labels.items()))}  [{time.process_time() - t0:.1f}s]")
+              f"{dict(sorted(tally.items()))}  [{time.process_time() - t0:.1f}s]")
         if args.show_sequences:
-            for s in seqs:
+            for s, label in zip(seqs, labels):
                 fams = " | ".join(
                     ",".join(emit_graph6(p) for p in f.patterns)
                     for f in s.parts)
-                print(f"    {fams}  ->  {classify_sequence(g, s)}")
+                print(f"    {fams}  ->  {label}")
 
 
 if __name__ == "__main__":

@@ -37,10 +37,10 @@ own sequence for C_{2l} with each clique slot widened to cliques-or-tiny;
 the later cases of C6 and C8 are written out.  A sequence is in a case when
 some bijection of its families onto the case's slots puts each family
 inside its slot's target, and it takes the first case it is in.  Before
-that, each sequence is re-checked to be witnessing by an exhaustive
-certificate search that reads the generators of Aut(h) and lets the
-vertices of vertex 0's orbit take no slot branched before vertex 0's, so
-it does not walk every image of a partial assignment under Aut(h).
+that, each sequence is checked to be witnessing over the same poset and
+multisets that the enumeration built: no multiset can give its classes to
+the slots one each, with each class in its slot's family.  That check
+shares neither the constraints nor MMCS with the enumeration.
 """
 
 from __future__ import annotations
@@ -53,12 +53,18 @@ from .families import FamilySpec, _subset_orbits, family_subset, member
 from .graphs import Graph, _canon_cached, bits, canonical_key, clique, cycle, empty, \
     is_isomorphic, path
 from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
-    is_witnessing_sequence, splits_into, theorem_sequence, wpn
+    splits_into, theorem_sequence, wpn
 
 # The subgraph poset keeps an entry per vertex mask of h and a bitmask of
 # the classes below each class.  On a random G(16, 1/2) it took 13 CPU s and
 # 135 MB of max RSS (Python 3.11), about 2.2 times G(15, 1/2)'s 6 s and 60 MB.
 MAX_SEQUENCE_VERTICES = 16
+
+
+def _check_size(h: Graph) -> None:
+    if h.n > MAX_SEQUENCE_VERTICES:
+        raise ValueError(f"sequences supports at most {MAX_SEQUENCE_VERTICES} "
+                         f"vertices, got {h.n}")
 
 
 @dataclass
@@ -165,6 +171,15 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
     for t in solve((1 << h.n) - 1, k):
         result.add(tuple(sorted(t + (empty_class,) * (k - len(t)))))
     return result
+
+
+@lru_cache(maxsize=1)
+def _tables(h: Graph, k: int) -> tuple[SubgraphPoset, set[tuple[int, ...]]]:
+    """h's subgraph poset and its part-class multisets for k blocks, built
+    once for the enumeration of h's k-sequences and their classification,
+    which run one after the other."""
+    poset = subgraph_poset(h)
+    return poset, part_class_multisets(h, k, poset)
 
 
 def _distinct_slots(allowed) -> bool:
@@ -302,16 +317,13 @@ def enumerate_really_canonical_sequences(
         raise ValueError("k must be positive")
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
-    if h.n > MAX_SEQUENCE_VERTICES:
-        raise ValueError(f"sequences supports at most {MAX_SEQUENCE_VERTICES} "
-                         f"vertices, got {h.n}")
+    _check_size(h)
     # c clique slots and k - c stable slots can witness only when V(h) has
     # no split into c cliques and k - c stable sets
     slot_cliques = [c for c in range(k + 1) if not splits_into(h, c, k - c)]
     if not slot_cliques:
         return []
-    poset = subgraph_poset(h)
-    multisets = part_class_multisets(h, k, poset)
+    poset, multisets = _tables(h, k)
     nodes = [0, budget]
     # a class id names one isomorphism class, so the sorted slots of sorted
     # class ids key a sequence up to slot order
@@ -389,13 +401,6 @@ def _wpn_of(h: Graph) -> int:
     return wpn(h)
 
 
-@lru_cache(maxsize=8)
-def _membership_memo(h: Graph) -> dict:
-    """One find_certificate memo per graph, shared by the witness re-checks
-    of the many sequences classified against it."""
-    return {}
-
-
 def classifiable(h: Graph, k: int) -> bool:
     """Whether classify_sequence takes k-sequences for h: h is an even
     cycle C_{2l} with l >= 3 and k = wpn(h)."""
@@ -403,16 +408,32 @@ def classifiable(h: Graph, k: int) -> bool:
             and _wpn_of(h) == k)
 
 
+def _is_witnessing(h: Graph, seq: WitnessSequence) -> bool:
+    """Whether no realizable multiset of part classes of h can give its
+    classes to the slots of seq one each, with each class inside its
+    slot's family.  Membership is invariant under isomorphism, so each
+    family is asked once per class, and multisets whose classes have the
+    same sorted slot masks are tested once."""
+    poset, multisets = _tables(h, len(seq))
+    inside = {f: [member(f, g) for g in poset.reps] for f in set(seq.parts)}
+    allowed = [sum(1 << i for i, f in enumerate(seq.parts) if inside[f][c])
+               for c in range(len(poset.reps))]
+    return not any(_distinct_slots(slots) for slots in
+                   {tuple(sorted(map(allowed.__getitem__, ms))) for ms in multisets})
+
+
 def classify_sequence(h: Graph, seq: WitnessSequence) -> str:
     """Match a really canonical witnessing wpn(h)-sequence against the
     case list for its cycle, trying the cases in order; 'NoMatch' would
-    falsify the classification."""
+    falsify the classification.  Graphs past MAX_SEQUENCE_VERTICES are
+    refused first, since the check's tables hold an entry per vertex mask."""
+    _check_size(h)
     if not classifiable(h, len(seq)):
         raise ValueError("classification takes wpn(h)-sequences for the even "
                          "cycles C6, C8, C10, C2l")
     if not is_really_canonical(seq):
         raise ValueError("sequence is not really canonical")
-    if not is_witnessing_sequence(h, seq, _membership_memo(h)):
+    if not _is_witnessing(h, seq):
         raise ValueError("sequence is not witnessing")
     for number, slots in enumerate(_cases(h.n // 2), 1):
         if _in_case(seq.parts, slots):

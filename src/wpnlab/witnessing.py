@@ -13,8 +13,7 @@ import re
 from dataclasses import dataclass
 
 from .families import FamilySpec, basis_of, member
-from .graphs import MAX_VERTICES, Graph, _canon_cached, _orbits, bits, clique, \
-    cycle, empty, is_isomorphic, path
+from .graphs import MAX_VERTICES, Graph, bits, clique, cycle, empty, is_isomorphic, path
 
 
 @dataclass(frozen=True)
@@ -70,49 +69,35 @@ def splits_into(h: Graph, cliques: int, stables: int) -> bool:
 # -- sequence validity and certificates --------------------------------------
 
 
-def is_witnessing_sequence(h: Graph, seq: WitnessSequence,
-                           memo: dict | None = None) -> bool:
+def is_witnessing_sequence(h: Graph, seq: WitnessSequence) -> bool:
     """True iff no partition of V(h) into len(seq) (possibly empty) parts
     has every induced part inside its family, i.e. h has no certificate
     against seq.  The exhaustive search is find_certificate's, so repeated
     families cost one branch per distinct arrangement, not one per
-    relabelling of their slots, and the generators of Aut(h) from h's
-    canonical search cut the branches that an automorphism maps onto
-    others; ``memo`` is passed on to it."""
-    return find_certificate(h, seq, memo, _canon_cached(h.n, h.adj).gens) is None
+    relabelling of their slots.  It works on vertex masks alone, so it is
+    the reference for classify_sequence's check over h's subgraph
+    classes."""
+    return find_certificate(h, seq) is None
 
 
-def _automorphisms(g: Graph, gens) -> list[tuple[int, ...]]:
-    """The permutations among ``gens`` that map g's rows onto g's rows."""
-    n = g.n
-    return [gamma for gamma in gens
-            if len(gamma) == n and sorted(gamma) == list(range(n))
-            and all(g.adj[gamma[v]] == sum(1 << gamma[u] for u in bits(g.adj[v]))
-                    for v in range(n))]
-
-
-def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
-                     gens=()) -> tuple[int, ...] | None:
+def find_certificate(g: Graph, seq: WitnessSequence) -> tuple[int, ...] | None:
     """A partition of V(g) with part i inside family i, as one vertex mask
     per slot in the sequence's order (parts may be empty), or None.
 
     Backtracking vertex by vertex; heredity makes pruning on the current
     part content sound.  Each probe is ``member`` on the part's vertex
     mask, memoised once per distinct family, so no subgraph is built.
-    The memo maps each family to its {mask: bool} answers on g.  A caller
-    that searches g against many sequences may pass one ``memo`` dict to
-    every call, so that a family's answers are shared between them; by
-    default each call starts an empty one.  Clique-family slots are
-    branched first since they prune fastest.  The search walks a plan of
-    one tuple per slot in branching order (the slot, its previous twin,
-    its family's answers and the family), so a probe that was answered
-    before is one dict lookup in the search loop itself.
+    Clique-family slots are branched first since they prune fastest.  The
+    search walks a plan of one tuple per slot in branching order (the
+    slot, its previous twin, its family's answers and the family), so a
+    probe that was answered before is one dict lookup in the search loop
+    itself.
 
     Without pruning, the search would meet the certificates in
     lexicographic order of their slots' plan positions, vertex 0 first;
-    call the first one C*.  Both rules below skip only branches that C*
+    call the first one C*.  The rule below skips only branches that C*
     does not lie in, so the result is C*, found without exploring every
-    relabelling of the twins or every image under the automorphisms.
+    relabelling of the twins.
 
     Slots with equal families are twins.  A vertex may open an empty slot
     only when the twin before it in branching order is already filled, so
@@ -120,26 +105,11 @@ def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
     skipped branch is the earlier twin's branch with the two slots' labels
     swapped from this vertex on: swapping turns any certificate in it into
     one that the search meets first, so C* is never in it.
-
-    ``gens`` are permutations claimed to be automorphisms of g; any that
-    does not map g's rows onto g's rows is dropped, so a wrong one can
-    cost time but never change the answer.  Let O be the orbit of vertex
-    0 under those left.  Once vertex 0 sits in the slot at plan position
-    j, every later vertex of O branches only over the slots from position
-    j on (Crawford, Ginsberg, Luks & Roy, KR 1996, for this lex-leader
-    kind of rule; Walsh, CP 2006, for breaking vertex and slot symmetry
-    together).  Suppose a vertex u of O sat in C* at a position before
-    vertex 0's, and let s be an automorphism with s(u) = 0.  Moving each
-    vertex's slot along s gives a certificate, since each part maps onto
-    an isomorphic induced subgraph, and in it vertex 0 takes u's slot: it
-    would come before C*.  So C* keeps this rule as it keeps the twin rule.
-    With no ``gens`` every vertex branches over the whole plan, at the
-    same cost per node.
     """
     k = len(seq)
     n = g.n
     order = sorted(range(k), key=lambda i: (0 if seq.parts[i].name == "clique" else 1, i))
-    memos: dict[FamilySpec, dict[int, bool]] = {} if memo is None else memo
+    memos: dict[FamilySpec, dict[int, bool]] = {}
     # (slot, its previous twin in branching order or -1, its family's
     # answers, its family), in branching order
     plan = []
@@ -156,18 +126,12 @@ def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
     if n == 0:
         return (0,) * k
     masks = [0] * k
-    # the slots each vertex may take, in branching order
-    plans = [plan] * n
-    later: list[int] = []     # the vertices of vertex 0's orbit after it
-    if gens:
-        orbit = _orbits(n, _automorphisms(g, gens))
-        later = [u for u in range(1, n) if orbit[u] == 0]
 
     def rec(v: int) -> bool:
         if v == n:
             return True
         bit = 1 << v
-        for i, twin, cache, f in plans[v]:
+        for i, twin, cache, f in plan:
             if twin >= 0 and not masks[i] and not masks[twin]:
                 continue
             m = masks[i] | bit
@@ -181,16 +145,7 @@ def find_certificate(g: Graph, seq: WitnessSequence, memo: dict | None = None,
                 masks[i] = m ^ bit
         return False
 
-    # vertex 0 takes each slot in turn, and the later vertices of its
-    # orbit only that slot and the ones after it
-    for j in range(k):
-        plans[0] = plan[j:j + 1]
-        tail = plan[j:]
-        for u in later:
-            plans[u] = tail
-        if rec(0):
-            return tuple(masks)
-    return None
+    return tuple(masks) if rec(0) else None
 
 
 # -- the four theorems -------------------------------------------------------

@@ -194,6 +194,18 @@ def test_c14_sequences_are_pinned_and_all_case1(capsys):
     assert {s["classification"] for s in payload["sequences"]} == {"case1"}
 
 
+def test_c16_sequences_are_pinned_and_all_case1(capsys):
+    """C16 at k = wpn = 7: 43 sequences, each in case 1 of the paper's
+    C_{2l} case list for l > 5."""
+    assert main(["sequences", "--graph", "OhCGGC@?G?_@?@??_?K?@", "--k", "7",
+                 "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "48de5e173659d637"
+    payload = json.loads(out)
+    assert payload["count"] == 43
+    assert {s["classification"] for s in payload["sequences"]} == {"case1"}
+
+
 def test_sequences_budget_exit_code(capsys):
     code = main(["sequences", "--graph", C6, "--k", "2", "--budget", "5"])
     assert code == 3

@@ -39,12 +39,14 @@ def test_partition_trends_prints_the_bell_ratio_mean():
     assert len(lines) == 4
 
 
-def test_sequence_survey_tallies_c6_to_c10():
-    lines = _run("sequence_survey.py", "--max-cycle", "10")
-    assert len(lines) == 3
+def test_sequence_survey_tallies_c6_to_c12():
+    lines = _run("sequence_survey.py")
+    assert len(lines) == 4
     assert lines[0].startswith(
         "C6 (k=2): 13 sequences, {'case1': 3, 'case2': 8, 'case3': 1, 'case4': 1}")
     assert lines[1].startswith(
         "C8 (k=3): 19 sequences, {'case1': 17, 'case2': 2}")
     assert lines[2].startswith(
         "C10 (k=4): 25 sequences, {'case1': 25}")
+    assert lines[3].startswith(
+        "C12 (k=5): 31 sequences, {'case1': 31}")

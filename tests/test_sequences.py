@@ -6,7 +6,6 @@ import pytest
 import wpnlab.families
 import wpnlab.graphs
 import wpnlab.sequences
-import wpnlab.witnessing
 from wpnlab.families import FamilySpec, basis_of
 from wpnlab.graphs import Graph, canonical_key, clique, contains_induced, cycle, \
     empty, path
@@ -468,24 +467,43 @@ def test_classify_named_theorem_sequences():
     assert classify_sequence(cycle(16), theorem_sequence("c2l:8")) == "case1"
 
 
-def test_witness_rechecks_share_membership_answers(monkeypatch):
-    """The re-checks of every sequence classified against one graph ask
-    each (family, mask) of ``member`` once between them."""
-    h = cycle(8)
-    seqs = enumerate_really_canonical_sequences(h, 3)
-    wpnlab.sequences._membership_memo.cache_clear()
-    wpnlab.sequences._wpn_of(h)
-    asked = []
-    member = wpnlab.witnessing.member
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_class_level_witness_check_matches_the_vertex_search(n):
+    """classify_sequence's check over the poset and the multisets agrees
+    with the exhaustive vertex-level search on every enumerated sequence
+    of C_n at k = wpn, and on every one weakened by dropping one pattern
+    from one basis, which minimality makes non-witnessing."""
+    from wpnlab.witnessing import wpn
 
-    def recording(f, g, mask=None):
-        if g == h:
-            asked.append((f, mask))
-        return member(f, g, mask)
+    h = cycle(n)
+    k = wpn(h)
+    seqs = enumerate_really_canonical_sequences(h, k)
+    assert seqs
+    for s in seqs:
+        assert wpnlab.sequences._is_witnessing(h, s)
+        assert is_witnessing_sequence(h, s)
+        for i, f in enumerate(s.parts):
+            for j in range(len(f.patterns)):
+                smaller = f.patterns[:j] + f.patterns[j + 1:]
+                if not smaller:
+                    continue
+                parts = list(s.parts)
+                parts[i] = FamilySpec.forbidden(smaller)
+                weak = WitnessSequence(tuple(parts))
+                assert not wpnlab.sequences._is_witnessing(h, weak)
+                assert not is_witnessing_sequence(h, weak)
 
-    monkeypatch.setattr(wpnlab.witnessing, "member", recording)
-    assert all(classify_sequence(h, s) in ("case1", "case2") for s in seqs)
-    assert asked and len(asked) == len(set(asked))
+
+def test_classify_caps_the_graph_before_building_tables(monkeypatch):
+    from wpnlab.witnessing import theorem_sequence
+
+    def boom(*args):
+        raise RuntimeError("no table may be built past the cap")
+
+    monkeypatch.setattr(wpnlab.sequences, "subgraph_poset", boom)
+    monkeypatch.setattr(wpnlab.sequences, "classifiable", boom)
+    with pytest.raises(ValueError, match="at most 16 vertices"):
+        classify_sequence(cycle(18), theorem_sequence("c2l:9"))
 
 
 def test_classify_all_clique_sequence_for_c6():

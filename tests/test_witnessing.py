@@ -6,7 +6,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from wpnlab.families import FamilySpec, member
 from wpnlab.graphs import (
-    _canon_cached,
     clique,
     contains_induced,
     cycle,
@@ -289,36 +288,3 @@ def test_find_certificate_matches_brute_force_and_unpruned_search(seq, g):
         assert cert == _unpruned_certificate(g, seq)
     else:
         assert _unpruned_certificate(g, seq) is None
-    # the orbit rule keeps the first certificate too
-    assert find_certificate(g, seq, gens=_canon_cached(g.n, g.adj).gens) == cert
-
-
-def test_generators_that_are_not_automorphisms_are_ignored():
-    """(0 1) is no automorphism of P4, so vertex 1 keeps its whole plan.
-    Taken as one, it would keep vertex 1 out of the clique slot, which is
-    branched before vertex 0's stable slot, and so lose P4's only split
-    into a clique and a stable set, {1, 2} and {0, 3}."""
-    p4 = path(4)
-    swap, flip = (1, 0, 2, 3), (3, 2, 1, 0)
-    seqs = REPEATED_FAMILY_SEQUENCES + [
-        WitnessSequence((CLIQUE, STABLE)), WitnessSequence((STABLE, CLIQUE)),
-        WitnessSequence((CLUSTER, STABLE)), WitnessSequence((COGIRTH5, CLIQUE)),
-        WitnessSequence((CLIQUE, CLIQUE))]
-    for seq in seqs:
-        cert = find_certificate(p4, seq)
-        for gens in ([swap], [swap, flip], [(1, 0)], [(0, 0, 2, 3)]):
-            assert find_certificate(p4, seq, gens=gens) == cert, (seq, gens)
-    assert find_certificate(p4, WitnessSequence((CLIQUE, STABLE))) is not None
-
-
-@given(graphs_up_to_6, st.lists(st.lists(st.sampled_from(
-    [STABLE, CLIQUE, COGIRTH5, CLUSTER, FamilySpec.named("cograph"),
-     FamilySpec.forbidden([empty(3)])]), min_size=1, max_size=3),
-    min_size=1, max_size=12))
-@settings(max_examples=60, deadline=None)
-def test_a_shared_memo_gives_the_same_certificates(g, seqs):
-    memo: dict = {}
-    for parts in seqs:
-        seq = WitnessSequence(tuple(parts))
-        assert find_certificate(g, seq, memo) == find_certificate(g, seq)
-        assert is_witnessing_sequence(g, seq, memo) == is_witnessing_sequence(g, seq)
