@@ -50,6 +50,7 @@ from .graphs import (
     contains_induced,
     emit_graph6,
     is_isomorphic,
+    maximal_stable_sets,
     parse_graph6,
 )
 from .witnessing import find_certificate, theorem_cycle, theorem_sequence
@@ -162,39 +163,12 @@ def has_induced_cycle(g: Graph, m: int) -> bool:
     return False
 
 
-def _maximal_stable_sets(g: Graph):
-    """Bron-Kerbosch with pivot on the non-adjacency graph."""
-    full = g.vertex_mask()
-    non = [full & ~g.adj[v] & ~(1 << v) for v in range(g.n)]
-
-    def rec(r: int, p: int, x: int):
-        if p == 0 and x == 0:
-            yield r
-            return
-        pivot_pool = p | x
-        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
-        best = -1
-        for u in bits(pivot_pool):
-            k = (p & non[u]).bit_count()
-            if k > best:
-                best, pivot = k, u
-        for v in bits(p & ~non[pivot]):
-            yield from rec(r | (1 << v), p & non[v], x & non[v])
-            p &= ~(1 << v)
-            x |= 1 << v
-
-    if g.n == 0:
-        yield 0
-        return
-    yield from rec(0, full, 0)
-
-
 def c6_certificate(g: Graph) -> tuple[int, int] | None:
     """Part masks (co-girth-5, stable) of a c6 certificate of g, or None.
     By heredity of co-girth-5 the maximal stable sets suffice."""
     adj = g.adj
     full = g.vertex_mask()
-    for s in _maximal_stable_sets(g):
+    for s in maximal_stable_sets(adj, full):
         if _is_cogirth5(adj, full ^ s):
             return full ^ s, s
     return None

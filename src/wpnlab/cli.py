@@ -23,7 +23,6 @@ from .census import (
     census,
     config_hash,
     girth5_census,
-    render_fraction,
 )
 from .counting import (
     UniformPartitionSampler,

@@ -83,9 +83,9 @@ def component_count(i: int, s: int) -> int:
     if i == 3:  # join of a clique and a stable set (complete split graphs)
         if s == 1:
             return 1
-        # pick the universal clique side; subtract the s+1 choices that
-        # leave the graph disconnected (empty clique, or a lone clique
-        # vertex counted twice as K_s ... see component oracle test)
+        # 2^s - 1 non-empty clique sides, less the s sides of size s - 1:
+        # each leaves one stable vertex seeing the whole clique, which is
+        # K_s again, already counted by the full side
         return 2 ** s - s - 1
     raise ValueError("i must be 1, 2 or 3")
 

@@ -28,6 +28,7 @@ from .graphs import (
     contains_induced,
     emit_graph6,
     mask_components,
+    maximal_stable_sets,
 )
 
 # A recognizer takes adjacency rows ``adj`` and a vertex mask ``s`` and
@@ -381,33 +382,17 @@ def is_restricted(f: FamilySpec) -> bool:
 
 def s_statistic(g: Graph) -> int:
     """Max size of a stable set no vertex sees twice; equivalently a max
-    independent set of the distance-<=2 graph."""
+    stable set of the distance-<=2 graph, the largest of its maximal
+    stable sets."""
     if g.n > 24:
         raise ValueError("s_statistic limited to n <= 24")
-    if g.n == 0:
-        return 0
     sq = []
     for v in range(g.n):
         reach = g.adj[v]
         for u in bits(g.adj[v]):
             reach |= g.adj[u]
         sq.append(reach & ~(1 << v))
-
-    best = 0
-
-    def rec(candidates: int, size: int) -> None:
-        nonlocal best
-        if size + candidates.bit_count() <= best:
-            return
-        if not candidates:
-            best = max(best, size)
-            return
-        v = (candidates & -candidates).bit_length() - 1
-        rec(candidates & ~sq[v] & ~(1 << v), size + 1)
-        rec(candidates & ~(1 << v), size)
-
-    rec(g.vertex_mask(), 0)
-    return best
+    return max(s.bit_count() for s in maximal_stable_sets(sq, g.vertex_mask()))
 
 
 def heavy_degree_check(g: Graph) -> bool:

@@ -181,6 +181,32 @@ def mask_components(adj, s: int) -> list[int]:
     return comps
 
 
+def maximal_stable_sets(adj, s: int):
+    """Yield every maximal stable set of the subgraph that the rows ``adj``
+    induce on the mask ``s`` once: Bron-Kerbosch (Bron & Kerbosch, CACM 16,
+    1973) on the non-adjacency graph, pivoting on a vertex of p | x with
+    the most non-neighbours in p.  s = 0 yields 0."""
+    non = [s & ~a & ~(1 << v) for v, a in enumerate(adj)]
+
+    def rec(r: int, p: int, x: int):
+        if p == 0 and x == 0:
+            yield r
+            return
+        pivot_pool = p | x
+        pivot = (pivot_pool & -pivot_pool).bit_length() - 1
+        best = -1
+        for u in bits(pivot_pool):
+            k = (p & non[u]).bit_count()
+            if k > best:
+                best, pivot = k, u
+        for v in bits(p & ~non[pivot]):
+            yield from rec(r | (1 << v), p & non[v], x & non[v])
+            p &= ~(1 << v)
+            x |= 1 << v
+
+    yield from rec(0, s, 0)
+
+
 # -- standard graphs --------------------------------------------------------
 
 

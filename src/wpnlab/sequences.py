@@ -53,7 +53,7 @@ from .families import FamilySpec, _subset_orbits, family_subset, member
 from .graphs import Graph, _canon_cached, bits, canonical_key, clique, cycle, empty, \
     is_isomorphic, path
 from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
-    splits_into, theorem_sequence, wpn
+    splits_into, theorem_sequence
 
 # The subgraph poset keeps an entry per vertex mask of h and a bitmask of
 # the classes below each class.  On a random G(16, 1/2) it took 13 CPU s and
@@ -395,17 +395,13 @@ def _in_case(fams: tuple[FamilySpec, ...], slots: tuple[str, ...]) -> bool:
                            for i in range(len(fams)))
 
 
-@lru_cache(maxsize=8)
-def _wpn_of(h: Graph) -> int:
-    """wpn(h) once per graph, for the many sequences classified against it."""
-    return wpn(h)
-
-
 def classifiable(h: Graph, k: int) -> bool:
     """Whether classify_sequence takes k-sequences for h: h is an even
-    cycle C_{2l} with l >= 3 and k = wpn(h)."""
+    cycle C_{2l} with l >= 3 and k is the arity of its case list.  Each
+    case gives the k families one slot each, so no other k can match; the
+    arity is l - 1 = wpn(C_{2l})."""
     return (h.n >= 6 and h.n % 2 == 0 and is_isomorphic(h, cycle(h.n))
-            and _wpn_of(h) == k)
+            and k == len(_cases(h.n // 2)[0]))
 
 
 def _is_witnessing(h: Graph, seq: WitnessSequence) -> bool:

@@ -13,7 +13,8 @@ import re
 from dataclasses import dataclass
 
 from .families import FamilySpec, basis_of, member
-from .graphs import MAX_VERTICES, Graph, bits, clique, cycle, empty, is_isomorphic, path
+from .graphs import MAX_VERTICES, Graph, bits, canonical_key, clique, cycle, empty, \
+    is_isomorphic, path
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,6 @@ def find_certificate(g: Graph, seq: WitnessSequence) -> tuple[int, ...] | None:
             cache[0] = member(f, g, 0)
         if not cache[0]:
             return None
-    if n == 0:
-        return (0,) * k
     masks = [0] * k
 
     def rec(v: int) -> bool:
@@ -211,8 +210,6 @@ def partition_into_parts(g: Graph, parts: list[Graph]) -> list[int] | None:
     branching only over isomorphism-distinct unused parts kills the symmetry
     between interchangeable parts.
     """
-    from .graphs import canonical_key
-
     if sum(p.n for p in parts) != g.n:
         return None
     result = [0] * len(parts)

@@ -53,11 +53,12 @@ def _c6_census(n: int, mode: str):
 
 def test_criterion_01_wpn_table():
     start = time.monotonic()
-    values = [wpn(cycle(k)) for k in range(3, 15)]
-    assert values == [2, 2, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6]
+    values = [wpn(cycle(k)) for k in range(3, 17)]
+    assert values == [2, 2, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 7, 7]
     # closed form: wpn(C_{2l-1}) = l - 1, wpn(C_{2l}) = l - 1 for 2l < 10,
-    # and wpn(C_{2l}) = l - 1 still: values follow ceil(k/2) - 1 for k >= 6
-    for k in range(6, 15):
+    # and wpn(C_{2l}) = l - 1 still: values follow ceil(k/2) - 1 for k >= 6;
+    # C16 is the longest cycle that sequences takes
+    for k in range(6, 17):
         assert values[k - 3] == (k + 1) // 2 - 1
     assert time.monotonic() - start < 10
 

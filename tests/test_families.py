@@ -318,6 +318,11 @@ def test_s_statistic_matches_subset_oracle(g):
     assert s_statistic(g) == _s_oracle(g)
 
 
+def test_s_statistic_matches_subset_oracle_on_every_small_class():
+    for g in classes_up_to(7):
+        assert s_statistic(g) == _s_oracle(g), g
+
+
 def test_s_statistic_guard():
     with pytest.raises(ValueError):
         s_statistic(empty(25))

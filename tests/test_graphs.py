@@ -25,6 +25,7 @@ from wpnlab.graphs import (
     emit_adjacency_text,
     emit_graph6,
     is_isomorphic,
+    maximal_stable_sets,
     parse_adjacency_text,
     parse_graph6,
     path,
@@ -90,6 +91,44 @@ def test_components():
     assert sorted(m.bit_count() for m in comps) == [1, 1, 3]
     assert not g.is_connected()
     assert cycle(5).is_connected()
+
+
+def _brute_maximal_stable_sets(adj, s):
+    """Every subset of s that is stable and that each other vertex of s
+    sees, by walking all submasks of s."""
+    out = []
+    t = s
+    while True:
+        if all(not adj[v] & t for v in bits(t)) and \
+                all(adj[v] & t for v in bits(s & ~t)):
+            out.append(t)
+        if t == 0:
+            return out
+        t = (t - 1) & s
+
+
+def test_maximal_stable_sets_match_brute_force():
+    """Each maximal stable set once and nothing else: every labelled graph
+    on <= 5 vertices, every class on 6 and 7 vertices and seeded random
+    graphs on 8-12 vertices, on the full mask and on the empty mask, and
+    on a random submask of each random graph."""
+    cases = [random_graph(n, m) for n in range(6)
+             for m in range(1 << n * (n - 1) // 2)]
+    cases += [g for n in (6, 7) for g, _ in _unlabeled_level(n)]
+    rng = random.Random(22)
+    masks = []
+    for _ in range(50):
+        n = rng.randint(8, 12)
+        g = random_graph(n, rng.getrandbits(n * (n - 1) // 2))
+        cases.append(g)
+        masks.append((g, rng.getrandbits(n)))
+    masks += [(g, g.vertex_mask()) for g in cases] + [(g, 0) for g in cases]
+    for g, s in masks:
+        # the brute force lists each set once, so equal sorted lists also
+        # rule out repeats
+        assert sorted(maximal_stable_sets(g.adj, s)) == \
+            sorted(_brute_maximal_stable_sets(g.adj, s)), (g, s)
+    assert list(maximal_stable_sets((), 0)) == [0]
 
 
 def test_contains_induced_basics():
