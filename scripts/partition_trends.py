@@ -25,7 +25,7 @@ def main() -> None:
     args = ap.parse_args()
 
     sampler = UniformPartitionSampler(args.n, args.seed)
-    heavy_threshold = math.log(args.n) ** 3 if args.n > 1 else 0.0
+    heavy_threshold = math.log(args.n) ** 3
     blocks, nonsingle, heavy = [], [], []
     for _ in range(args.samples):
         p = sampler.sample()

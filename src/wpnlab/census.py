@@ -40,7 +40,6 @@ from .families import (
     _RECOGNIZERS,
     _is_cogirth5,
     _unlabeled_level,
-    girth,
     heavy_degree_check,
     s_statistic,
 )
@@ -83,7 +82,7 @@ def render_fraction(fr: Fraction) -> dict:
     """Exact p/q plus a 15-significant-digit decimal rendering."""
     with localcontext() as ctx:
         ctx.prec = 15
-        dec = Decimal(fr.numerator) / Decimal(fr.denominator) if fr.denominator else Decimal(0)
+        dec = Decimal(fr.numerator) / Decimal(fr.denominator)
     return {
         "exact": f"{fr.numerator}/{fr.denominator}",
         "decimal": str(dec),
@@ -228,9 +227,9 @@ class CensusReport:
         return Fraction(self.certifiable, self.hfree) if self.hfree else Fraction(0)
 
     def to_dict(self) -> dict:
+        """The report's data; the CLI's envelope adds the configuration
+        and its hash."""
         return {
-            "config": self.config.to_dict(),
-            "config_hash": self.config.hash(),
             "mode": "labeled" if self.config.mode == "labeled" else "unlabeled-weighted",
             "total": str(self.total),
             "hfree": str(self.hfree),
@@ -383,7 +382,8 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
     shards = list(done.values())
     if manifest_path:  # an unwritable path fails before any shard is counted
         _write_manifest(manifest_path, config, shards)
-    pool = multiprocessing.Pool(threads) if threads > 1 and len(tasks) > 1 else None
+    workers = min(threads, len(tasks))
+    pool = multiprocessing.Pool(workers) if workers > 1 else None
     fresh = pool.imap_unordered(_count_task, tasks) if pool else map(_count_task, tasks)
     written = monotonic()
     try:
@@ -440,7 +440,9 @@ def girth5_census(n: int, mode: str = "labeled") -> Girth5Report:
     s_dist: dict[int, int] = {}
     deg_dist: dict[int, int] = {}
     for g, orbit in _unlabeled_level(n):
-        if girth(g) < 5:
+        # girth >= 5 iff no C3 and no C4 is induced: a C4 with a chord
+        # holds a triangle
+        if has_induced_cycle(g, 3) or has_induced_cycle(g, 4):
             continue
         w = orbit if mode == "labeled" else 1
         graphs += w

@@ -4,8 +4,9 @@ One subcommand per module; JSON reports are canonical (sorted keys, no
 whitespace) and carry the tool version plus a configuration hash, so a
 fixed configuration yields byte-identical output at any thread count.
 
-Exit codes: 0 success, 2 precondition violation (bad input, or a file that
-cannot be read or written), 3 search budget exhausted.
+Exit codes: 0 success, 1 a verify-claims MISMATCH, 2 precondition violation
+(bad input, or a file that cannot be read or written), 3 search budget
+exhausted.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def _cmd_verify_claims(args) -> int:
     ok = True
     for r in results:
         status = "found" if r.found else "absent"
-        if r.expected_found is not None and r.found != r.expected_found:
+        if r.found != r.expected_found:
             ok = False
         items.append({
             "claim": r.item,
@@ -255,7 +256,7 @@ def _cmd_sample_partitions(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     sampler = UniformPartitionSampler(args.n, args.seed)
-    heavy_threshold = math.log(args.n) ** 3 if args.n > 1 else 0.0
+    heavy_threshold = math.log(args.n) ** 3
     rows = []
     for _ in range(args.samples):
         p = sampler.sample()
@@ -299,7 +300,6 @@ def _cmd_census(args) -> int:
                     threads=_census_threads(args), shard_prefix_bits=shard_bits,
                     manifest_path=args.resume)
     d = report.to_dict()
-    payload = {"command": "census", "version": __version__, **d}
     if args.format == "csv":
         lines = ["prefix,total,hfree,certifiable"]
         lines += [f"{s['prefix']},{s['total']},{s['hfree']},{s['certifiable']}"
@@ -307,11 +307,11 @@ def _cmd_census(args) -> int:
     else:
         frac = d["certifiable_fraction"]
         lines = [
-            f"n={args.n} forbidden={d['config']['forbidden']} theorem={args.theorem}",
+            f"n={args.n} forbidden={report.config.forbidden_g6} theorem={args.theorem}",
             f"total={d['total']} hfree={d['hfree']} certifiable={d['certifiable']}",
             f"certifiable_fraction={frac['exact']} ({frac['decimal']})",
         ]
-    _emit(args, payload, lines)
+    _emit(args, _envelope("census", report.config.to_dict(), d), lines)
     return EXIT_OK
 
 

@@ -213,30 +213,6 @@ def member(f: FamilySpec, g: Graph, mask: int | None = None) -> bool:
     return _RECOGNIZERS[f.name](g.adj, mask)
 
 
-def girth(g: Graph) -> float:
-    """Length of a shortest cycle; math.inf for forests."""
-    best = math.inf
-    for start in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[start] = 0
-        queue = [start]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            if 2 * dist[u] >= best:
-                break
-            for w in bits(g.adj[u]):
-                if dist[w] == -1:
-                    dist[w] = dist[u] + 1
-                    parent[w] = u
-                    queue.append(w)
-                elif parent[u] != w and parent[w] != u:
-                    best = min(best, dist[u] + dist[w] + 1)
-    return best
-
-
 # -- forbidden bases ---------------------------------------------------------
 
 

@@ -243,14 +243,12 @@ def partition_into_parts(g: Graph, parts: list[Graph]) -> list[int] | None:
 _LMH_SMALL = {"P3": path(3), "coP3": path(3).complement(), "E3": empty(3)}
 
 
-def _four_vertex_sparse() -> dict[str, Graph]:
-    e2 = empty(2)
-    return {
-        "E4": empty(4),
-        "K2+E2": clique(2).disjoint_union(e2),
-        "2K2": clique(2).disjoint_union(clique(2)),
-        "P3+K1": path(3).disjoint_union(empty(1)),
-    }
+_FOUR_VERTEX_SPARSE = {
+    "E4": empty(4),
+    "K2+E2": clique(2).disjoint_union(empty(2)),
+    "2K2": clique(2).disjoint_union(clique(2)),
+    "P3+K1": path(3).disjoint_union(empty(1)),
+}
 
 
 @dataclass
@@ -259,16 +257,16 @@ class ClaimResult:
     parameters: dict
     found: bool
     witness: list[int] | None = None
-    expected_found: bool | None = None
+    expected_found: bool = True
 
 
 def verify_cycle_partition_claims(l: int) -> list[ClaimResult]:
     """Exhaustively check the stated partitions of C_{2l}.
 
     For l > 5 this covers all three items of the even-cycle partition
-    claim plus a negative control (l-1 cliques of size 2, which cannot
-    cover the cycle).  For l in {3, 4, 5} it checks the finitely many
-    partition facts stated for C6, C8 and C10.
+    claim.  For l in {3, 4, 5} it checks the finitely many partition facts
+    stated for C6, C8 and C10.  Every l ends with a negative control: l-1
+    cliques of size 2, which cannot cover the cycle.
     """
     if l < 3:
         raise ValueError("need l >= 3")
@@ -276,7 +274,7 @@ def verify_cycle_partition_claims(l: int) -> list[ClaimResult]:
     k2, e2 = clique(2), empty(2)
     results: list[ClaimResult] = []
 
-    def run(item: str, params: dict, parts: list[Graph], expected: bool | None = True):
+    def run(item: str, params: dict, parts: list[Graph], expected: bool = True):
         masks = partition_into_parts(g, parts)
         results.append(ClaimResult(item=item, parameters=params,
                                    found=masks is not None, witness=masks,
@@ -295,13 +293,11 @@ def verify_cycle_partition_claims(l: int) -> list[ClaimResult]:
             b = l - 2 - a
             run("b", {"edges": a, "nonedges": b},
                 [path(4)] + [k2] * a + [e2] * b)
-        for hname, hg in _four_vertex_sparse().items():
+        for hname, hg in _FOUR_VERTEX_SPARSE.items():
             for a in range(l - 1):
                 b = l - 2 - a
                 run("c", {"H": hname, "edges": a, "nonedges": b},
                     [hg] + [k2] * a + [e2] * b)
-        run("control", {"cliques": l - 1, "size": 2}, [k2] * (l - 1),
-            expected=False)
     elif l == 5:
         for lname, lg in _LMH_SMALL.items():
             for mname, mg in _LMH_SMALL.items():
@@ -314,19 +310,18 @@ def verify_cycle_partition_claims(l: int) -> list[ClaimResult]:
         run("b", {"edges": 3, "nonedges": 0}, [path(4)] + [k2] * 3)
         for hname in ("K2+E2", "2K2", "P3+K1"):
             run("c", {"H": hname, "edges": 3, "nonedges": 0},
-                [_four_vertex_sparse()[hname]] + [k2] * 3)
+                [_FOUR_VERTEX_SPARSE[hname]] + [k2] * 3)
         run("stable+4cliques", {}, [e2] + [k2] * 4)
-        run("control", {"cliques": 4, "size": 2}, [k2] * 4, expected=False)
     elif l == 4:
         run("two-stable", {}, [empty(4), empty(4)])
         run("four-cliques", {}, [k2] * 4)
         run("stable+3cliques", {}, [e2] + [k2] * 3)
-        run("control", {"cliques": 3, "size": 2}, [k2] * 3, expected=False)
     else:  # l == 3
         run("two-stable", {}, [empty(3), empty(3)])
         run("three-cliques", {}, [k2] * 3)
         run("stable+2cliques", {}, [e2, k2, k2])
         run("two-P3", {}, [path(3), path(3)])
         run("two-coP3", {}, [path(3).complement(), path(3).complement()])
-        run("control", {"cliques": 2, "size": 2}, [k2] * 2, expected=False)
+    run("control", {"cliques": l - 1, "size": 2}, [k2] * (l - 1),
+        expected=False)
     return results

@@ -29,9 +29,9 @@ from wpnlab.counting import (
     iter_set_partitions,
     labeled_cograph_count,
 )
-from wpnlab.families import FamilySpec, _unlabeled_level, heavy_degree_check, girth, \
+from wpnlab.families import FamilySpec, _unlabeled_level, heavy_degree_check, \
     member, s_statistic
-from wpnlab.graphs import bits, clique, cycle
+from wpnlab.graphs import clique, cycle
 from wpnlab.sequences import classify_sequence, enumerate_really_canonical_sequences
 from wpnlab.families import is_restricted
 from wpnlab.witnessing import (
@@ -42,6 +42,9 @@ from wpnlab.witnessing import (
     verify_cycle_partition_claims,
     wpn,
 )
+
+from .test_census import _nx_girth
+from .test_families import _s_oracle
 
 CLIQUE = FamilySpec.named("clique")
 
@@ -165,18 +168,6 @@ def test_criterion_08b_certifiable_fraction_trend_gate():
                      f"n=5..8 are {[str(f) for f in fractions]} (decreasing)")
 
 
-def _s_oracle(g):
-    best = 0
-    for s in range(1 << g.n):
-        vs = list(bits(s))
-        if any(g.adj[u] >> v & 1 for i, u in enumerate(vs) for v in vs[i + 1:]):
-            continue
-        if any((g.adj[v] & s).bit_count() >= 2 for v in range(g.n)):
-            continue
-        best = max(best, s.bit_count())
-    return best
-
-
 def test_criterion_09_girth5_heavy_degree_and_s_statistic():
     for n in range(1, 9):
         rep = girth5_census(n, mode="unlabeled")
@@ -184,7 +175,7 @@ def test_criterion_09_girth5_heavy_degree_and_s_statistic():
     assert s_statistic(cycle(5)) == 1
     for n in range(1, 9):
         for g, _ in _unlabeled_level(n):
-            if girth(g) < 5:
+            if _nx_girth(g) < 5:
                 continue
             assert s_statistic(g) == _s_oracle(g)
 

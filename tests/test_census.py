@@ -34,6 +34,8 @@ from wpnlab.graphs import (
     contains_induced,
     cycle,
     emit_graph6,
+    parse_graph6,
+    path,
 )
 from wpnlab.graphs import Graph
 from wpnlab.witnessing import (
@@ -231,6 +233,33 @@ def test_census_threads_do_not_change_counts():
     one = census(6, cycle(6), "c6", threads=1)
     four = census(6, cycle(6), "c6", threads=4)
     assert one.to_dict() == four.to_dict()
+
+
+def test_worker_pool_is_no_larger_than_the_pending_shards(monkeypatch):
+    """census asks for at most one worker per pending shard.  The fake pool
+    records the size asked for and counts the shards in this process, so
+    no process is started."""
+    import wpnlab.census as census_module
+
+    sizes = []
+
+    class FakePool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def imap_unordered(self, fn, tasks):
+            return map(fn, tasks)
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(census_module.multiprocessing, "Pool", FakePool)
+    whole = census(4, cycle(6), "c6", threads=1, shard_prefix_bits=2)
+    for threads, expected in ((1000, [4]), (3, [3]), (1, [])):
+        sizes.clear()
+        report = census(4, cycle(6), "c6", threads=threads, shard_prefix_bits=2)
+        assert sizes == expected, threads
+        assert report.to_dict() == whole.to_dict()
 
 
 def test_soundness_crosscheck_cadence(monkeypatch):
@@ -454,6 +483,32 @@ def test_canonical_json_is_stable():
     assert a == '{"a":[2,3],"b":1}'
     assert config_hash({"x": 1}) == config_hash({"x": 1})
     assert config_hash({"x": 1}) != config_hash({"x": 2})
+
+
+def _nx_girth(g):
+    import networkx as nx
+
+    h = nx.empty_graph(g.n)
+    h.add_edges_from(g.edges())
+    return nx.girth(h)
+
+
+def test_girth5_filter_matches_networkx_girth():
+    """girth5_census keeps a graph iff it has no induced C3 and no induced
+    C4.  networkx's girth is the oracle on graphs of girth 3, 4, 5, 9 and
+    infinity, and on every class on <= 8 vertices, where the census must
+    also count exactly the classes of girth >= 5."""
+    def kept(g):
+        return not (has_induced_cycle(g, 3) or has_induced_cycle(g, 4))
+
+    named = [cycle(5), cycle(9), clique(4), path(6),
+             cycle(4).disjoint_union(cycle(7)), parse_graph6("IheA@GUAo")]
+    assert [kept(g) for g in named] == [True, True, False, True, False, True]
+    assert [kept(g) for g in named] == [_nx_girth(g) >= 5 for g in named]
+    for n in range(1, 9):
+        oracle = [_nx_girth(g) >= 5 for g, _ in _unlabeled_level(n)]
+        assert [kept(g) for g, _ in _unlabeled_level(n)] == oracle, n
+        assert girth5_census(n, mode="unlabeled").graphs == sum(oracle), n
 
 
 def test_girth5_census_n5():

@@ -12,7 +12,6 @@ from wpnlab.families import (
     _unlabeled_up_to,
     basis_of,
     family_subset,
-    girth,
     heavy_degree_check,
     is_restricted,
     member,
@@ -280,16 +279,6 @@ def test_is_restricted():
     # complement(E3) = K3 is bipartite? no.  E3's complement is K3, which is
     # not bipartite, so {E3} misses a co-bipartite pattern.
     assert not is_restricted(FamilySpec.forbidden([empty(3)]))
-
-
-def test_girth():
-    assert girth(cycle(5)) == 5
-    assert girth(cycle(9)) == 9
-    assert girth(clique(4)) == 3
-    assert girth(path(6)) == math.inf
-    assert girth(cycle(4).disjoint_union(cycle(7))) == 4
-    petersen = parse_graph6("IheA@GUAo")
-    assert girth(petersen) == 5
 
 
 def _s_oracle(g):
