@@ -10,8 +10,8 @@ last one with one edge flipped: two XORs on a list of adjacency rows, and
 no validation.  Unlabeled-weighted mode feeds it one representative per
 isomorphism class (n <= 9) with weight n!/|Aut|, which reproduces the
 labeled totals exactly; agreement of the two modes is itself a census
-invariant for n <= 7.  Unlabeled runs are serial and take no shard count
-or manifest.
+invariant for n <= 7.  A labeled run has 2^min(6, C(n, 2)) shards at any
+thread count; unlabeled runs are serial and take no manifest.
 
 Under every theorem the fold offers each H-free graph the last certificate
 found, as part masks in the theorem's slot order.  It is kept if every
@@ -353,21 +353,16 @@ def _write_manifest(path: str, config: CensusConfig, shards: list[dict]) -> None
 
 
 def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
-           threads: int = 1, shard_prefix_bits: int | None = None,
-           manifest_path: str | None = None) -> CensusReport:
+           threads: int = 1, manifest_path: str | None = None) -> CensusReport:
     """Exact H-free / certifiable counts; see module docstring for modes."""
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
-    if mode == "unlabeled":
-        if manifest_path or shard_prefix_bits is not None:
-            raise ValueError("unlabeled census takes no manifest and no shard count")
-        shard_prefix_bits = 0
-    elif shard_prefix_bits is None:
-        # fixed default so reports are byte-identical for any thread count
-        shard_prefix_bits = min(6, n * (n - 1) // 2)
-    config = CensusConfig(n=n, forbidden_g6=emit_graph6(forbidden),
-                          theorem=theorem, mode=mode,
-                          shard_prefix_bits=shard_prefix_bits)
+    if mode == "unlabeled" and manifest_path:
+        raise ValueError("unlabeled census takes no manifest")
+    # a fixed shard layout, so reports are byte-identical at any thread count
+    config = CensusConfig(
+        n=n, forbidden_g6=emit_graph6(forbidden), theorem=theorem, mode=mode,
+        shard_prefix_bits=min(6, n * (n - 1) // 2) if mode == "labeled" else 0)
     if mode == "unlabeled":
         total, hfree, certifiable = _fold(config, _unlabeled_level(n))
         return CensusReport(config=config, total=total, hfree=hfree,
@@ -434,6 +429,8 @@ def girth5_census(n: int, mode: str = "labeled") -> Girth5Report:
     All statistics are isomorphism-invariant, so labeled counts come from
     orbit weighting; heavy_degree_check must pass on every graph.
     """
+    if mode not in ("labeled", "unlabeled"):
+        raise ValueError("mode must be labeled or unlabeled")
     if not 1 <= n <= MAX_UNLABELED_N:
         raise ValueError(f"girth-5 census supports 1 <= n <= {MAX_UNLABELED_N}")
     graphs = heavy_ok = 0

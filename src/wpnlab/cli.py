@@ -37,7 +37,7 @@ from .counting import (
 from .families import NoFiniteBasisError
 from .graphs import Graph, Graph6Error, bits, emit_graph6, parse_adjacency_text, \
     parse_graph6
-from .sequences import classifiable, classify_sequence, \
+from .sequences import DEFAULT_BUDGET, classifiable, classify_sequence, \
     enumerate_really_canonical_sequences
 from .witnessing import (
     BudgetExhausted,
@@ -274,31 +274,12 @@ def _cmd_sample_partitions(args) -> int:
     return EXIT_OK
 
 
-def _census_threads(args) -> int:
-    """--threads, else WPNLAB_THREADS, else 1; a count below 1 is an error."""
-    if args.threads is not None:
-        source, value = "--threads", args.threads
-    else:
-        source, value = "WPNLAB_THREADS", os.environ.get("WPNLAB_THREADS") or "1"
-    try:
-        threads = int(value)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return threads
-
-
 def _cmd_census(args) -> int:
+    if args.mode == "unlabeled" and args.format == "csv":
+        raise ValueError("unlabeled census has no shard rows to write as CSV")
     forb = _read_graph(args.forbid)
-    shard_bits = None
-    if args.shards is not None:
-        if args.shards < 1 or args.shards & (args.shards - 1):
-            raise ValueError("--shards must be a power of two")
-        shard_bits = args.shards.bit_length() - 1
     report = census(args.n, forb, args.theorem, mode=args.mode,
-                    threads=_census_threads(args), shard_prefix_bits=shard_bits,
-                    manifest_path=args.resume)
+                    threads=args.threads, manifest_path=args.resume)
     d = report.to_dict()
     if args.format == "csv":
         lines = ["prefix,total,hfree,certifiable"]
@@ -336,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--format", choices=("json", "csv", "text"),
-                       default="text")
+    def common(p, csv=False):
+        # CSV only where its lines differ from the text lines
+        formats = ("json", "csv", "text") if csv else ("json", "text")
+        p.add_argument("--format", choices=formats, default="text")
         p.add_argument("--output", default=None, help="write report to a file")
 
     p = sub.add_parser("wpn", help="witnessing partition number of a graph")
@@ -357,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="enumerate minimal really canonical witnessing sequences")
     p.add_argument("--graph", required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--budget", type=int, default=10_000_000)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     common(p)
     p.set_defaults(handler=_cmd_sequences)
 
@@ -384,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--samples", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    common(p)
+    common(p, csv=True)
     p.set_defaults(handler=_cmd_sample_partitions)
 
     p = sub.add_parser("census", help="exhaustive small-n census")
@@ -393,12 +375,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--theorem", required=True)
     p.add_argument("--mode", choices=("labeled", "unlabeled"),
                    default="labeled")
-    p.add_argument("--shards", type=int, default=None,
-                   help="shard count, a power of two")
     p.add_argument("--resume", default=None, help="manifest path")
-    p.add_argument("--threads", type=int, default=None,
-                   help="worker processes (default: WPNLAB_THREADS, else 1)")
-    common(p)
+    p.add_argument("--threads", type=int, default=1, help="worker processes")
+    common(p, csv=True)
     p.set_defaults(handler=_cmd_census)
 
     p = sub.add_parser("girth5-census", help="girth>=5 degree statistics")

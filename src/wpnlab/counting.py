@@ -211,6 +211,8 @@ class SetPartition:
     blocks: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"n must be at least 0, got {self.n}")
         seen: set[int] = set()
         for b in self.blocks:
             if not b:

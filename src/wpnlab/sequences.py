@@ -59,6 +59,8 @@ from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
 # the classes below each class.  On a random G(16, 1/2) it took 13 CPU s and
 # 135 MB of max RSS (Python 3.11), about 2.2 times G(15, 1/2)'s 6 s and 60 MB.
 MAX_SEQUENCE_VERTICES = 16
+# MMCS search nodes an enumeration may use when no budget is given
+DEFAULT_BUDGET = 10_000_000
 
 
 def _check_size(h: Graph) -> None:
@@ -301,7 +303,7 @@ def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
 
 
 def enumerate_really_canonical_sequences(
-    h: Graph, k: int, budget: int = 10_000_000
+    h: Graph, k: int, budget: int = DEFAULT_BUDGET
 ) -> list[WitnessSequence]:
     """All minimal really canonical witnessing k-sequences for h, with
     forbidden bases drawn from the induced-subgraph classes of h, up to

@@ -280,7 +280,7 @@ def verify_cycle_partition_claims(l: int) -> list[ClaimResult]:
                                    found=masks is not None, witness=masks,
                                    expected_found=expected))
 
-    if l > 5:
+    if l >= 5:
         for lname, lg in _LMH_SMALL.items():
             for mname, mg in _LMH_SMALL.items():
                 if lname > mname:
@@ -289,6 +289,7 @@ def verify_cycle_partition_claims(l: int) -> list[ClaimResult]:
                     b = l - 3 - a
                     run("a", {"L": lname, "M": mname, "edges": a, "nonedges": b},
                         [lg, mg] + [k2] * a + [e2] * b)
+    if l > 5:
         for a in range(l - 1):
             b = l - 2 - a
             run("b", {"edges": a, "nonedges": b},
@@ -299,14 +300,6 @@ def verify_cycle_partition_claims(l: int) -> list[ClaimResult]:
                 run("c", {"H": hname, "edges": a, "nonedges": b},
                     [hg] + [k2] * a + [e2] * b)
     elif l == 5:
-        for lname, lg in _LMH_SMALL.items():
-            for mname, mg in _LMH_SMALL.items():
-                if lname > mname:
-                    continue
-                for a in range(3):
-                    b = 2 - a
-                    run("a", {"L": lname, "M": mname, "edges": a, "nonedges": b},
-                        [lg, mg] + [k2] * a + [e2] * b)
         run("b", {"edges": 3, "nonedges": 0}, [path(4)] + [k2] * 3)
         for hname in ("K2+E2", "2K2", "P3+K1"):
             run("c", {"H": hname, "edges": 3, "nonedges": 0},

@@ -254,10 +254,10 @@ def test_worker_pool_is_no_larger_than_the_pending_shards(monkeypatch):
             pass
 
     monkeypatch.setattr(census_module.multiprocessing, "Pool", FakePool)
-    whole = census(4, cycle(6), "c6", threads=1, shard_prefix_bits=2)
-    for threads, expected in ((1000, [4]), (3, [3]), (1, [])):
+    whole = census(4, cycle(6), "c6", threads=1)
+    for threads, expected in ((1000, [64]), (3, [3]), (1, [])):
         sizes.clear()
-        report = census(4, cycle(6), "c6", threads=threads, shard_prefix_bits=2)
+        report = census(4, cycle(6), "c6", threads=threads)
         assert sizes == expected, threads
         assert report.to_dict() == whole.to_dict()
 
@@ -358,8 +358,6 @@ def test_unlabeled_census_rejects_manifest_and_shards(tmp_path):
     path = tmp_path / "manifest.json"
     with pytest.raises(ValueError):
         census(5, cycle(6), "c6", mode="unlabeled", manifest_path=str(path))
-    with pytest.raises(ValueError):
-        census(5, cycle(6), "c6", mode="unlabeled", shard_prefix_bits=2)
     assert not path.exists()
     assert census(5, cycle(6), "c6", mode="unlabeled", threads=2).total == 1024
 
@@ -526,3 +524,9 @@ def test_girth5_census_rejects_bad_n():
     for mode in ("labeled", "unlabeled"):
         with pytest.raises(ValueError, match="girth-5 census supports"):
             girth5_census(MAX_UNLABELED_N + 1, mode=mode)
+
+
+def test_girth5_census_rejects_bad_mode():
+    for mode in ("bogus", "unlabeled-weighted", "Labeled"):
+        with pytest.raises(ValueError, match="mode must be"):
+            girth5_census(5, mode=mode)

@@ -411,11 +411,11 @@ def test_census_json_thread_invariance(capsys):
 
 def test_census_csv_shards(capsys):
     code = main(["census", "--n", "5", "--forbid", C6, "--theorem", "c6",
-                 "--shards", "4", "--format", "csv"])
+                 "--format", "csv"])
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "prefix,total,hfree,certifiable"
-    assert len(lines) == 5
+    assert len(lines) == 65
     assert sum(int(r.split(",")[1]) for r in lines[1:]) == 1024
 
 
@@ -457,8 +457,6 @@ def test_precondition_exit_codes(capsys):
     assert main(["certify", "Bw", "--theorem", "c2l:4"]) == 2
     assert main(["census", "--n", "5", "--forbid", "Bw",
                  "--theorem", "c6"]) == 2
-    assert main(["census", "--n", "5", "--forbid", C6, "--theorem", "c6",
-                 "--shards", "3"]) == 2
     assert main(["verify-claims", "--cycle", "7"]) == 2
 
 
@@ -527,33 +525,11 @@ def test_output_probe_keeps_existing_files_and_leaves_no_new_one(tmp_path,
     assert not fresh.exists()
 
 
-def test_threads_env_default(monkeypatch, capsys):
-    assert main(CENSUS_N5 + ["--threads", "1"]) == 0
-    serial = capsys.readouterr().out
-    monkeypatch.setenv("WPNLAB_THREADS", "2")
-    assert main(CENSUS_N5) == 0
-    assert capsys.readouterr().out == serial
-
-
-def test_threads_env_invalid_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("WPNLAB_THREADS", "abc")
-    assert main(CENSUS_N5) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("wpn-lab: WPNLAB_THREADS")
-
-
-@pytest.mark.parametrize("flag, env", [
-    ("0", None), ("-3", None), (None, "-5"), (None, "0")])
-def test_nonpositive_thread_counts_exit_2(monkeypatch, capsys, flag, env):
-    if env is not None:
-        monkeypatch.setenv("WPNLAB_THREADS", env)
-    argv = CENSUS_N5 + (["--threads", flag] if flag is not None else [])
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    source = "--threads" if flag is not None else "WPNLAB_THREADS"
-    assert captured.err.startswith(f"wpn-lab: {source} must be a positive integer")
+@pytest.mark.parametrize("flag", ["0", "-3"])
+def test_nonpositive_thread_counts_exit_2(capsys, flag):
+    assert main(CENSUS_N5 + ["--threads", flag]) == 2
+    assert capsys.readouterr() == (
+        "", f"wpn-lab: threads must be at least 1, got {flag}\n")
 
 
 def test_dropped_options_are_rejected(monkeypatch, capsys):
@@ -562,6 +538,16 @@ def test_dropped_options_are_rejected(monkeypatch, capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert main(["wpn", C6, "--threads", "2"]) == 2
     assert main(["sample-partitions", "--n", "5", "--seed", "1", "--stats"]) == 2
+    assert main(CENSUS_N5 + ["--shards", "4"]) == 2
+    # CSV is offered only where its lines differ from the text lines
+    assert main(["wpn", C6, "--format", "csv"]) == 2
+    capsys.readouterr()
+    # the thread count comes from --threads alone, 1 by default
+    assert main(CENSUS_N5) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        f"n=5 forbidden={C6} theorem=c6",
+        "total=1024 hfree=1024 certifiable=1024",
+        "certifiable_fraction=1/1 (1)"]
 
 
 def test_main_returns_argparse_exit_codes(capsys):
@@ -585,7 +571,8 @@ def test_unlabeled_census_past_the_cap_exits_2(capsys):
     assert capsys.readouterr().err.startswith("wpn-lab: unlabeled census")
 
 
-@pytest.mark.parametrize("extra", [["--resume", "m.json"], ["--shards", "4"]])
+# an unlabeled run has no shards, so its CSV would hold no row
+@pytest.mark.parametrize("extra", [["--resume", "m.json"], ["--format", "csv"]])
 def test_unlabeled_census_rejects_flags_it_ignores(tmp_path, monkeypatch,
                                                    capsys, extra):
     monkeypatch.chdir(tmp_path)
@@ -593,33 +580,34 @@ def test_unlabeled_census_rejects_flags_it_ignores(tmp_path, monkeypatch,
     assert main(unlabeled + extra) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("wpn-lab: unlabeled")
+    assert captured.err.count("\n") == 1
     assert not (tmp_path / "m.json").exists()
     assert main(unlabeled + ["--threads", "1"]) == 0
 
 
 def _shards_n5(tmp_path, capsys):
     path = tmp_path / "m.json"
-    assert main(CENSUS_N5 + ["--shards", "4", "--resume", str(path)]) == 0
+    assert main(CENSUS_N5 + ["--resume", str(path)]) == 0
     capsys.readouterr()
     return path, json.loads(path.read_text())
 
 
-# one manifest per load-time rule; n = 5 with 4 shards of 2^8 masks each
+# one manifest per load-time rule; n = 5 with 64 shards of 2^4 masks each
 _BAD_MANIFESTS = {
     "not-an-object": lambda m: [m],
     "no-shards": lambda m: {"config_hash": m["config_hash"]},
     "shards-not-a-list": lambda m: dict(m, shards={}),
     "missing-key": lambda m: _edit(m, 0, hfree=None),
-    "string-count": lambda m: _edit(m, 0, total="256"),
+    "string-count": lambda m: _edit(m, 0, total="16"),
     "bool-prefix": lambda m: _edit(m, 1, prefix=True),
     "int-done": lambda m: _edit(m, 0, done=1),
     "prefix-too-large": lambda m: _edit(m, 0, prefix=999),
     "prefix-negative": lambda m: _edit(m, 0, prefix=-1),
     "prefix-repeats": lambda m: _edit(m, 1, prefix=0),
-    "certifiable-above-hfree": lambda m: _edit(m, 0, certifiable=257, hfree=256),
-    "hfree-above-total": lambda m: _edit(m, 0, hfree=257),
-    "total-not-shard-size": lambda m: _edit(m, 0, total=255, hfree=255,
-                                            certifiable=255),
+    "certifiable-above-hfree": lambda m: _edit(m, 0, certifiable=17, hfree=16),
+    "hfree-above-total": lambda m: _edit(m, 0, hfree=17),
+    "total-not-shard-size": lambda m: _edit(m, 0, total=15, hfree=15,
+                                            certifiable=15),
     "negative-certifiable": lambda m: _edit(m, 0, certifiable=-1),
 }
 
@@ -636,16 +624,15 @@ def _edit(manifest, i, **changes):
 def test_bad_manifest_exits_2(tmp_path, capsys, rule):
     path, manifest = _shards_n5(tmp_path, capsys)
     path.write_text(json.dumps(_BAD_MANIFESTS[rule](manifest)))
-    assert main(CENSUS_N5 + ["--shards", "4", "--resume", str(path)]) == 2
+    assert main(CENSUS_N5 + ["--resume", str(path)]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("wpn-lab: manifest")
 
 
 def test_manifest_with_undone_shard_resumes(tmp_path, capsys):
     path, manifest = _shards_n5(tmp_path, capsys)
-    assert main(CENSUS_N5 + ["--shards", "4", "--format", "json"]) == 0
+    assert main(CENSUS_N5 + ["--format", "json"]) == 0
     whole = capsys.readouterr().out
     path.write_text(json.dumps(_edit(manifest, 2, done=False, total=0)))
-    assert main(CENSUS_N5 + ["--shards", "4", "--resume", str(path),
-                             "--format", "json"]) == 0
+    assert main(CENSUS_N5 + ["--resume", str(path), "--format", "json"]) == 0
     assert capsys.readouterr().out == whole

@@ -149,6 +149,9 @@ def test_set_partition_validation():
         SetPartition(1, ((0, 0),))
     with pytest.raises(ValueError, match="overlapping"):
         SetPartition(3, ((0, 1, 1), (2,)))
+    SetPartition(0, ())
+    with pytest.raises(ValueError, match="n must be at least 0"):
+        SetPartition(-1, ())
 
 
 def test_partition_stats():
