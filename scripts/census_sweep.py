@@ -21,6 +21,8 @@ def main() -> None:
                     default="unlabeled")
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
+    if args.mode == "unlabeled" and args.threads > 1:
+        ap.error("an unlabeled census is serial, so it takes only --threads 1")
 
     forb = theorem_cycle(args.theorem)
 

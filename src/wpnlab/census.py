@@ -11,7 +11,8 @@ no validation.  Unlabeled-weighted mode feeds it one representative per
 isomorphism class (n <= 9) with weight n!/|Aut|, which reproduces the
 labeled totals exactly; agreement of the two modes is itself a census
 invariant for n <= 7.  A labeled run has 2^min(6, C(n, 2)) shards at any
-thread count; unlabeled runs are serial and take no manifest.
+thread count; unlabeled runs are serial, so they take no manifest and
+only one thread (`--threads 1`).
 
 Under every theorem the fold offers each H-free graph the last certificate
 found, as part masks in the theorem's slot order.  It is kept if every
@@ -359,6 +360,9 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
         raise ValueError(f"threads must be at least 1, got {threads}")
     if mode == "unlabeled" and manifest_path:
         raise ValueError("unlabeled census takes no manifest")
+    if mode == "unlabeled" and threads > 1:
+        raise ValueError(f"unlabeled census is serial and takes 1 thread, "
+                         f"got {threads}")
     # a fixed shard layout, so reports are byte-identical at any thread count
     config = CensusConfig(
         n=n, forbidden_g6=emit_graph6(forbidden), theorem=theorem, mode=mode,

@@ -333,6 +333,7 @@ def basis_of(f: FamilySpec) -> tuple[Graph, ...]:
     return named_forbidden_basis(f.name)
 
 
+@lru_cache(maxsize=None)
 def family_subset(a: FamilySpec, b: FamilySpec) -> bool:
     """True iff every graph in a is in b.
 

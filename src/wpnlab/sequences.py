@@ -40,13 +40,15 @@ inside its slot's target, and it takes the first case it is in.  Before
 that, each sequence is checked to be witnessing over the same poset and
 multisets that the enumeration built: no multiset can give its classes to
 the slots one each, with each class in its slot's family.  That check
-shares neither the constraints nor MMCS with the enumeration.
+shares neither the constraints nor MMCS with the enumeration.  Both take
+the classes in a family (clique, stable, or a slot's) from one table on
+the poset, which asks member once per family and class.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .families import FamilySpec, _subset_orbits, family_subset, member
@@ -74,8 +76,13 @@ class SubgraphPoset:
     reps: list[Graph]            # canonical representative per class
     class_of_mask: list[int]     # class id for every vertex subset of h
     below: list[int]             # bit p of below[c] set iff p is induced in c
-    clique_classes: int          # bitmask of the classes that are cliques
-    stable_classes: int          # bitmask of the classes that are stable
+    _inside: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def classes_in(self, f: FamilySpec) -> int:
+        """Bitmask of the classes in f; member is asked once per family."""
+        if f not in self._inside:
+            self._inside[f] = sum(1 << c for c, g in enumerate(self.reps) if member(f, g))
+        return self._inside[f]
 
 
 def subgraph_poset(h: Graph) -> SubgraphPoset:
@@ -117,14 +124,7 @@ def subgraph_poset(h: Graph) -> SubgraphPoset:
         mask = first[c]
         for v in bits(mask):
             below[c] |= below[class_of_mask[mask ^ 1 << v]]
-
-    def classes_in(name: str) -> int:
-        f = FamilySpec.named(name)
-        return sum(1 << c for c, g in enumerate(reps) if member(f, g))
-
-    return SubgraphPoset(reps=reps, class_of_mask=class_of_mask, below=below,
-                         clique_classes=classes_in("clique"),
-                         stable_classes=classes_in("stable"))
+    return SubgraphPoset(reps=reps, class_of_mask=class_of_mask, below=below)
 
 
 def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[int, ...]]:
@@ -222,9 +222,9 @@ def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
     over their distinct slot permutations: those expansions are exactly
     the minimal constraints over all assignments.
     """
-    pattern = {t: [below & ~protected for below in poset.below]
-               for t, protected in (("C", poset.clique_classes),
-                                    ("S", poset.stable_classes))}
+    protected = {t: poset.classes_in(FamilySpec.named(name))
+                 for t, name in (("C", "clique"), ("S", "stable"))}
+    pattern = {t: [below & ~protected[t] for below in poset.below] for t in protected}
     at = {t: [i for i, u in enumerate(types) if u == t] for t in pattern}
     reps: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     for ms in multisets:
@@ -409,12 +409,12 @@ def classifiable(h: Graph, k: int) -> bool:
 def _is_witnessing(h: Graph, seq: WitnessSequence) -> bool:
     """Whether no realizable multiset of part classes of h can give its
     classes to the slots of seq one each, with each class inside its
-    slot's family.  Membership is invariant under isomorphism, so each
-    family is asked once per class, and multisets whose classes have the
-    same sorted slot masks are tested once."""
+    slot's family.  The classes in each family are read from the poset's
+    table, which asks member once per family and class over all sequences,
+    and multisets whose classes have the same sorted slot masks are tested once."""
     poset, multisets = _tables(h, len(seq))
-    inside = {f: [member(f, g) for g in poset.reps] for f in set(seq.parts)}
-    allowed = [sum(1 << i for i, f in enumerate(seq.parts) if inside[f][c])
+    inside = [poset.classes_in(f) for f in seq.parts]
+    allowed = [sum(1 << i for i, m in enumerate(inside) if m >> c & 1)
                for c in range(len(poset.reps))]
     return not any(_distinct_slots(slots) for slots in
                    {tuple(sorted(map(allowed.__getitem__, ms))) for ms in multisets})

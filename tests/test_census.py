@@ -354,12 +354,13 @@ def test_census_rejects_nonpositive_threads():
             census(4, cycle(6), "c6", threads=threads)
 
 
-def test_unlabeled_census_rejects_manifest_and_shards(tmp_path):
+def test_unlabeled_census_rejects_manifest_and_threads(tmp_path):
     path = tmp_path / "manifest.json"
     with pytest.raises(ValueError):
         census(5, cycle(6), "c6", mode="unlabeled", manifest_path=str(path))
     assert not path.exists()
-    assert census(5, cycle(6), "c6", mode="unlabeled", threads=2).total == 1024
+    with pytest.raises(ValueError, match="^unlabeled"):
+        census(5, cycle(6), "c6", mode="unlabeled", threads=2)
 
 
 def test_census_submodule_is_not_shadowed():

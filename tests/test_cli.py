@@ -404,9 +404,31 @@ def test_census_json_thread_invariance(capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
+    assert hashlib.sha256(outputs[0].encode()).hexdigest()[:16] == "ded507ca22bd0687"
     payload = json.loads(outputs[0])
     assert payload["hfree"] == "1024"
     _validate(payload, "census.schema.json")
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (["census", "--n", "7", "--forbid", C6, "--theorem", "c6", "--mode", "unlabeled"],
+     "73b185ca43821bc5"),
+    (["census", "--n", "7", "--forbid", C8, "--theorem", "c8", "--mode", "unlabeled"],
+     "210faf23c9d0fcd6"),
+    (["census", "--n", "7", "--forbid", emit_graph6(cycle(10)), "--theorem", "c10",
+      "--mode", "unlabeled"], "8f9afbf2c1f30611"),
+    (["census", "--n", "6", "--forbid", C8, "--theorem", "c8"],
+     "409617734810a874"),
+    (["girth5-census", "--n", "8", "--mode", "labeled"], "8983adcb68477ed9"),
+    (["girth5-census", "--n", "8", "--mode", "unlabeled"], "c0be007c31c41178"),
+], ids=["unlabeled-7-c6", "unlabeled-7-c8", "unlabeled-7-c10", "labeled-6-c8",
+        "girth5-8-labeled", "girth5-8-unlabeled"])
+def test_census_json_is_pinned(capsys, argv, digest):
+    """Census and girth-5 census reports of both modes, as the fold that
+    offers each graph the last certificate found wrote them."""
+    assert main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
 
 
 def test_census_csv_shards(capsys):
@@ -571,8 +593,9 @@ def test_unlabeled_census_past_the_cap_exits_2(capsys):
     assert capsys.readouterr().err.startswith("wpn-lab: unlabeled census")
 
 
-# an unlabeled run has no shards, so its CSV would hold no row
-@pytest.mark.parametrize("extra", [["--resume", "m.json"], ["--format", "csv"]])
+# an unlabeled run is serial and has no shards, so its CSV would hold no row
+@pytest.mark.parametrize("extra", [["--resume", "m.json"], ["--format", "csv"],
+                                   ["--threads", "2"]])
 def test_unlabeled_census_rejects_flags_it_ignores(tmp_path, monkeypatch,
                                                    capsys, extra):
     monkeypatch.chdir(tmp_path)

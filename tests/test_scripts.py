@@ -9,13 +9,17 @@ import sys
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
-def _run(script: str, *args: str) -> list[str]:
+def _start(script: str, *args: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), *args],
         capture_output=True, text=True, env=env, timeout=120)
+
+
+def _run(script: str, *args: str) -> list[str]:
+    proc = _start(script, *args)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout.splitlines()
 
@@ -28,6 +32,17 @@ def test_census_sweep_prints_one_row_per_n():
     assert [r[:4] for r in rows] == [["3", "8", "8", "8"],
                                      ["4", "64", "64", "64"],
                                      ["5", "1024", "1024", "1024"]]
+
+
+def test_census_sweep_rejects_threads_on_a_serial_run():
+    """The default unlabeled mode is serial, so --threads 2 is a usage
+    error (exit 2, no traceback); labeled runs take it."""
+    proc = _start("census_sweep.py", "--nmin", "3", "--nmax", "3", "--threads", "2")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith("it takes only --threads 1")
+    assert "Traceback" not in proc.stderr
+    assert _run("census_sweep.py", "--nmin", "3", "--nmax", "3", "--threads", "2",
+                "--mode", "labeled")[1].split()[:4] == ["3", "8", "8", "8"]
 
 
 def test_partition_trends_prints_the_bell_ratio_mean():

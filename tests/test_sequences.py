@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -76,14 +77,15 @@ def test_subgraph_poset_matches_brute_force():
                 if pair not in contains:
                     contains[pair] = small.n <= big.n and contains_induced(big, small)
                 assert bool(poset.below[c] >> p & 1) == contains[pair], (h, c, p)
-        assert poset.clique_classes == sum(
-            1 << c for c, g in enumerate(poset.reps)
-            if g.edge_count() == g.n * (g.n - 1) // 2)
-        assert poset.stable_classes == sum(
+        cliques = poset.classes_in(FamilySpec.named("clique"))
+        stables = poset.classes_in(FamilySpec.named("stable"))
+        assert cliques == sum(1 << c for c, g in enumerate(poset.reps)
+                              if g.edge_count() == g.n * (g.n - 1) // 2)
+        assert stables == sum(
             1 << c for c, g in enumerate(poset.reps) if g.edge_count() == 0)
         # K0 and K1 are in every hereditary family, so no slot rejects them
         tiny = sum(1 << c for c, g in enumerate(poset.reps) if g.n <= 1)
-        assert tiny & ~(poset.clique_classes & poset.stable_classes) == 0
+        assert tiny & ~(cliques & stables) == 0
 
 
 def _subset_orbit_count(h: Graph, perms) -> int:
@@ -272,7 +274,7 @@ def _constraints_of_every_ordering(poset, multisets, types) -> list[frozenset]:
     multiset, then the ones no other constraint lies inside."""
     hit = []
     for i, t in enumerate(types):
-        protected = poset.clique_classes if t == "C" else poset.stable_classes
+        protected = poset.classes_in(FamilySpec.named("clique" if t == "C" else "stable"))
         hit.append([frozenset((i, p) for p in range(len(poset.reps))
                               if below >> p & 1 and not protected >> p & 1)
                     for below in poset.below])
@@ -551,6 +553,52 @@ def test_class_level_witness_check_matches_the_vertex_search(n):
                 weak = WitnessSequence(tuple(parts))
                 assert not wpnlab.sequences._is_witnessing(h, weak)
                 assert not is_witnessing_sequence(h, weak)
+
+
+def test_member_is_asked_once_per_family_and_class(monkeypatch):
+    """Enumerating and classifying C12 at k = 5 asks member about each of
+    its 78 classes once per distinct family: the clique and stable
+    families the enumeration protects and the 8 families its 31 sequences
+    hold, however many sequences share one."""
+    asked = []
+
+    def spy(f, g):
+        asked.append(f)
+        return wpnlab.families.member(f, g)
+
+    monkeypatch.setattr(wpnlab.sequences, "member", spy)
+    wpnlab.sequences._tables.cache_clear()
+    h = cycle(12)
+    seqs = enumerate_really_canonical_sequences(h, 5)
+    for s in seqs:
+        classify_sequence(h, s)
+    families = {f for s in seqs for f in s.parts}
+    families |= {FamilySpec.named("clique"), FamilySpec.named("stable")}
+    assert len(seqs) == 31 and len(families) == 10
+    classes = len(wpnlab.sequences._tables(h, 5)[0].reps)
+    assert classes == 78 and len(asked) == 780
+    assert Counter(asked) == {f: classes for f in families}
+
+
+def test_each_case_target_inclusion_is_decided_once(monkeypatch):
+    """Classifying C12's 31 sequences asks family_subset 310 times, for
+    (family, case target) pairs its cache decides once each."""
+    asked = []
+    cached = wpnlab.sequences.family_subset
+
+    def spy(a, b):
+        asked.append((a, b))
+        return cached(a, b)
+
+    monkeypatch.setattr(wpnlab.sequences, "family_subset", spy)
+    h = cycle(12)
+    seqs = enumerate_really_canonical_sequences(h, 5)
+    cached.cache_clear()
+    for s in seqs:
+        classify_sequence(h, s)
+    info = cached.cache_info()
+    assert len(asked) == 310 and len(set(asked)) <= 16
+    assert (info.misses, info.hits) == (len(set(asked)), len(asked) - len(set(asked)))
 
 
 def test_classify_caps_the_graph_before_building_tables(monkeypatch):
