@@ -2,13 +2,14 @@
 """Sweep the C6-free census over a range of n and tabulate the certifiable
 fraction, the quantity behind the trend gate.
 
-Usage: python3 scripts/census_sweep.py --nmax 8 [--theorem c6] [--mode unlabeled]
+Usage: python3 scripts/census_sweep.py --nmax 8 [--theorem c6]
+       python3 scripts/census_sweep.py --mode labeled --nmax 7 [--threads 2]
 """
 
 import argparse
 import time
 
-from wpnlab.census import census
+from wpnlab.census import MAX_LABELED_N, MAX_UNLABELED_N, census
 from wpnlab.witnessing import theorem_cycle
 
 
@@ -23,6 +24,9 @@ def main() -> None:
     args = ap.parse_args()
     if args.mode == "unlabeled" and args.threads > 1:
         ap.error("an unlabeled census is serial, so it takes only --threads 1")
+    cap = MAX_LABELED_N if args.mode == "labeled" else MAX_UNLABELED_N
+    if args.nmin < 1 or args.nmax > cap:
+        ap.error(f"the {args.mode} census takes 1 <= n <= {cap}")
 
     forb = theorem_cycle(args.theorem)
 

@@ -16,10 +16,13 @@ numbering that labelling every mask gives.  The classes below a class
 are the closure of the classes of its first mask's one-vertex deletions,
 so no containment test is made.
 
-The realizable multisets of part classes are memoised by the class of the
-vertex set being split, since isomorphic vertex sets split into the same
-multisets; for the same reason the tails of a split are merged once per
-pair of classes of the block and of the rest, not once per block.  Slots
+The realizable multisets of part classes are searched as integer count
+vectors, a field per class and one for the number of blocks, so adding a
+block to a split's tail is one addition and only the final vectors are
+decoded.  They are memoised by the class of the vertex set being split,
+once for at most k blocks, since isomorphic vertex sets split into the
+same multisets; for the same reason the tails of a split are merged once
+per pair of classes of the block and of the rest, not once per block.  Slots
 of one type are interchangeable, so the constraints are built once per
 multiset and choice of the classes on the clique slots, not once per
 ordering; only the minimal ones are expanded over the slot
@@ -39,8 +42,10 @@ some bijection of its families onto the case's slots puts each family
 inside its slot's target, and it takes the first case it is in.  Before
 that, each sequence is checked to be witnessing over the same poset and
 multisets that the enumeration built: no multiset can give its classes to
-the slots one each, with each class in its slot's family.  That check
-shares neither the constraints nor MMCS with the enumeration.  Both take
+the slots one each, with each class in its slot's family.  A multiset with
+a class in none of the families is passed over before its slots are
+sought.  That check shares neither the constraints nor MMCS with the
+enumeration.  Both take
 the classes in a family (clique, stable, or a slot's) from one table on
 the poset, which asks member once per family and class.
 """
@@ -58,8 +63,11 @@ from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
     splits_into, theorem_sequence
 
 # The subgraph poset keeps an entry per vertex mask of h and a bitmask of
-# the classes below each class.  On a random G(16, 1/2) it took 13 CPU s and
-# 135 MB of max RSS (Python 3.11), about 2.2 times G(15, 1/2)'s 6 s and 60 MB.
+# the classes below each class.  On the G(16, 1/2) drawn from
+# random.Random(16) (an edge for each pair i < j, in order, when random()
+# < 0.5; 25715 classes) it took 5.4-6.2 CPU s and 125 MB of max RSS
+# (Python 3.11), against 2.1 s and 57 MB on G(15, 1/2) drawn the same way
+# from random.Random(15).
 MAX_SEQUENCE_VERTICES = 16
 # MMCS search nodes an enumeration may use when no budget is given
 DEFAULT_BUDGET = 10_000_000
@@ -131,23 +139,30 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
     """Sorted k-tuples of part classes realizable by partitioning V(h) into
     at most k blocks (missing blocks padded with the 0-vertex class).
 
+    The search codes a multiset as an integer count vector: field 0 counts
+    blocks and field c + 1 counts the blocks of class c, each field
+    ``k.bit_length() + 1`` bits wide.  No count exceeds k, so no field
+    carries into the next, and adding a block of class c to a tail is one
+    addition of ``unit[c]``.  Only the final vectors are decoded.
+
     The memo is keyed by the class of the mask being split: an isomorphism
     from h[m] to h[m'] maps each partition of m to a partition of m' with
     the same multiset of part classes.  For the same reason two blocks of
     one class whose rests share a class give the same tails, so the tails
-    are merged once per (class of block, class of rest) pair.
+    are merged once per (class of block, class of rest) pair.  Each class
+    is solved once, for at most k blocks; a tail takes one more block only
+    while it has fewer than k.
     """
-    empty_class = poset.class_of_mask[0]
     cls = poset.class_of_mask
-    memo: dict[tuple[int, int], set[tuple[int, ...]]] = {}
+    width = k.bit_length() + 1
+    one_field = (1 << width) - 1
+    unit = [1 | 1 << width * (c + 1) for c in range(len(poset.reps))]
+    memo: dict[int, set[int]] = {}
 
-    def solve(mask: int, blocks: int) -> set[tuple[int, ...]]:
+    def solve(mask: int) -> set[int]:
         if mask == 0:
-            return {()}
-        if blocks == 0:
-            return set()
-        key = (cls[mask], blocks)
-        got = memo.get(key)
+            return {0}
+        got = memo.get(cls[mask])
         if got is not None:
             return got
         low = mask & -mask
@@ -162,16 +177,23 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
             if sub == 0:
                 break
             sub = (sub - 1) & rest
-        out: set[tuple[int, ...]] = set()
+        out: set[int] = set()
         for (c, _), other in pairs.items():
-            for tail in solve(other, blocks - 1):
-                out.add(tuple(sorted(tail + (c,))))
-        memo[key] = out
+            add = unit[c]
+            out.update(t + add for t in solve(other) if t & one_field < k)
+        memo[cls[mask]] = out
         return out
 
     result = set()
-    for t in solve((1 << h.n) - 1, k):
-        result.add(tuple(sorted(t + (empty_class,) * (k - len(t)))))
+    for t in solve((1 << h.n) - 1):
+        # drop the block count and pad with the 0-vertex class
+        t = (t >> width) + ((k - (t & one_field)) << width * cls[0])
+        ms: list[int] = []
+        while t:
+            c = ((t & -t).bit_length() - 1) // width
+            ms += [c] * (t >> width * c & one_field)
+            t &= ~(one_field << width * c)
+        result.add(tuple(ms))
     return result
 
 
@@ -410,14 +432,18 @@ def _is_witnessing(h: Graph, seq: WitnessSequence) -> bool:
     """Whether no realizable multiset of part classes of h can give its
     classes to the slots of seq one each, with each class inside its
     slot's family.  The classes in each family are read from the poset's
-    table, which asks member once per family and class over all sequences,
-    and multisets whose classes have the same sorted slot masks are tested once."""
+    table, which asks member once per family and class over all sequences.
+    A multiset with a class that no slot's family holds cannot be placed,
+    so it is skipped before its slot masks are built; the rest are tested
+    once per distinct sorted tuple of slot masks."""
     poset, multisets = _tables(h, len(seq))
     inside = [poset.classes_in(f) for f in seq.parts]
     allowed = [sum(1 << i for i, m in enumerate(inside) if m >> c & 1)
                for c in range(len(poset.reps))]
+    nowhere = {c for c, slots in enumerate(allowed) if not slots}
     return not any(_distinct_slots(slots) for slots in
-                   {tuple(sorted(map(allowed.__getitem__, ms))) for ms in multisets})
+                   {tuple(sorted(map(allowed.__getitem__, ms))) for ms in multisets
+                    if nowhere.isdisjoint(ms)})
 
 
 def classify_sequence(h: Graph, seq: WitnessSequence) -> str:

@@ -45,6 +45,15 @@ def test_census_sweep_rejects_threads_on_a_serial_run():
                 "--mode", "labeled")[1].split()[:4] == ["3", "8", "8", "8"]
 
 
+def test_census_sweep_rejects_nmax_past_the_census_cap():
+    """A labeled census stops at n = 7, so --nmax 8 is a usage error (exit
+    2) before any row is printed, not a traceback after the n < 8 rows."""
+    proc = _start("census_sweep.py", "--mode", "labeled", "--nmin", "8", "--nmax", "8")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith("the labeled census takes 1 <= n <= 7")
+    assert "Traceback" not in proc.stderr
+
+
 def test_partition_trends_prints_the_bell_ratio_mean():
     lines = _run("partition_trends.py", "--n", "20", "--samples", "200",
                  "--seed", "1")
