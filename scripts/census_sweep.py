@@ -9,7 +9,8 @@ Usage: python3 scripts/census_sweep.py --nmax 8 [--theorem c6]
 import argparse
 import time
 
-from wpnlab.census import MAX_LABELED_N, MAX_UNLABELED_N, census
+from wpnlab.census import CensusConfig, census
+from wpnlab.graphs import emit_graph6
 from wpnlab.witnessing import theorem_cycle
 
 
@@ -24,11 +25,14 @@ def main() -> None:
     args = ap.parse_args()
     if args.mode == "unlabeled" and args.threads > 1:
         ap.error("an unlabeled census is serial, so it takes only --threads 1")
-    cap = MAX_LABELED_N if args.mode == "labeled" else MAX_UNLABELED_N
-    if args.nmin < 1 or args.nmax > cap:
-        ap.error(f"the {args.mode} census takes 1 <= n <= {cap}")
 
-    forb = theorem_cycle(args.theorem)
+    # the census's own checks, made on both ends of the range before any row
+    try:
+        forb = theorem_cycle(args.theorem)
+        for n in (args.nmin, args.nmax):
+            CensusConfig(n, emit_graph6(forb), args.theorem, args.mode)
+    except ValueError as e:
+        ap.error(str(e))
 
     print(f"{'n':>3} {'total':>12} {'hfree':>12} {'certifiable':>12} "
           f"{'fraction':>10} {'secs':>8}")

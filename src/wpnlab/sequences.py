@@ -16,21 +16,20 @@ numbering that labelling every mask gives.  The classes below a class
 are the closure of the classes of its first mask's one-vertex deletions,
 so no containment test is made.
 
-The realizable multisets of part classes are searched as integer count
-vectors, a field per class and one for the number of blocks, so adding a
-block to a split's tail is one addition and only the final vectors are
-decoded.  They are memoised by the class of the vertex set being split,
-once for at most k blocks, since isomorphic vertex sets split into the
-same multisets; for the same reason the tails of a split are merged once
-per pair of classes of the block and of the rest, not once per block.  Slots
-of one type are interchangeable, so the constraints are built once per
-multiset and choice of the classes on the clique slots, not once per
-ordering; only the minimal ones are expanded over the slot
-permutations.  MMCS branches on the first uncovered constraint in an order
-defined by their content alone, so that order fixes its node count (the
-budget's unit); the hitting sets it yields do not depend on it.  A split
-of V(h) into c cliques and k - c stable sets is an assignment that c clique
-slots and k - c stable slots cannot reject, so only the slot types that
+The realizable multisets of part classes are solved for each exact number
+of blocks, memoised by that number and the class of the vertex set being
+split, since isomorphic vertex sets split into the same multisets; for
+the same reason one rest is solved per pair of classes of the block and
+of the rest, and the tails of the rests of one class of block are pooled
+before that class is added to them.  Slots of one type are
+interchangeable, so the constraints are built once per multiset and
+choice of the classes on the clique slots, not once per ordering; only
+the minimal ones are expanded over the slot permutations.  MMCS
+branches on the first uncovered constraint in an order defined by their
+content alone, so that order fixes its node count (the budget's unit);
+the hitting sets it yields do not depend on it.  A split of V(h) into c
+cliques and k - c stable sets is an assignment that c clique slots and
+k - c stable slots cannot reject, so only the slot types that
 splits_into finds no split for are searched, and no poset is built when
 there are none.  MMCS yields every slot relabelling of a sequence, so a
 sequence is built only for the first hitting set with its class ids.
@@ -42,12 +41,12 @@ some bijection of its families onto the case's slots puts each family
 inside its slot's target, and it takes the first case it is in.  Before
 that, each sequence is checked to be witnessing over the same poset and
 multisets that the enumeration built: no multiset can give its classes to
-the slots one each, with each class in its slot's family.  A multiset with
-a class in none of the families is passed over before its slots are
+the slots one each, with each class in its slot's family.  A multiset
+with a class in none of the families is passed over before its slots are
 sought.  That check shares neither the constraints nor MMCS with the
-enumeration.  Both take
-the classes in a family (clique, stable, or a slot's) from one table on
-the poset, which asks member once per family and class.
+enumeration.  Both take the classes in a family (clique, stable, or a
+slot's) from one table on the poset, which asks member once per family
+and class.
 """
 
 from __future__ import annotations
@@ -67,7 +66,9 @@ from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
 # random.Random(16) (an edge for each pair i < j, in order, when random()
 # < 0.5; 25715 classes) it took 5.4-6.2 CPU s and 125 MB of max RSS
 # (Python 3.11), against 2.1 s and 57 MB on G(15, 1/2) drawn the same way
-# from random.Random(15).
+# from random.Random(15).  With the part-class multisets, the tables of
+# that G(16, 1/2) took 5.3-5.5 CPU s and 130 MB at k = 2 and 10.7-11.5 s and
+# 900 MB at k = 3 (1566045 multisets); k = 4 ran out of 3 GiB.
 MAX_SEQUENCE_VERTICES = 16
 # MMCS search nodes an enumeration may use when no budget is given
 DEFAULT_BUDGET = 10_000_000
@@ -139,62 +140,58 @@ def part_class_multisets(h: Graph, k: int, poset: SubgraphPoset) -> set[tuple[in
     """Sorted k-tuples of part classes realizable by partitioning V(h) into
     at most k blocks (missing blocks padded with the 0-vertex class).
 
-    The search codes a multiset as an integer count vector: field 0 counts
-    blocks and field c + 1 counts the blocks of class c, each field
-    ``k.bit_length() + 1`` bits wide.  No count exceeds k, so no field
-    carries into the next, and adding a block of class c to a tail is one
-    addition of ``unit[c]``.  Only the final vectors are decoded.
-
-    The memo is keyed by the class of the mask being split: an isomorphism
-    from h[m] to h[m'] maps each partition of m to a partition of m' with
-    the same multiset of part classes.  For the same reason two blocks of
-    one class whose rests share a class give the same tails, so the tails
-    are merged once per (class of block, class of rest) pair.  Each class
-    is solved once, for at most k blocks; a tail takes one more block only
-    while it has fewer than k.
+    Partitions are solved for each exact number of blocks, memoised by
+    that number and the class of the mask being split: an isomorphism from
+    h[m] to h[m'] maps each partition of m to a partition of m' with the
+    same multiset of part classes.  One block is the mask's own class and
+    needs no walk over its submasks, two are a block and its rest and need
+    no recursion, and no mask splits into more blocks than it has
+    vertices.  For the same reason two blocks of one class whose rests
+    share a class give the same tails, so one rest is solved per (class of
+    block, class of rest) pair, and the tails of all the rests of one class
+    of block are pooled before that class is added to each distinct tail.
     """
     cls = poset.class_of_mask
-    width = k.bit_length() + 1
-    one_field = (1 << width) - 1
-    unit = [1 | 1 << width * (c + 1) for c in range(len(poset.reps))]
-    memo: dict[int, set[int]] = {}
+    memo: dict[tuple[int, int], set[tuple[int, ...]]] = {}
 
-    def solve(mask: int) -> set[int]:
-        if mask == 0:
-            return {0}
-        got = memo.get(cls[mask])
+    def solve(mask: int, blocks: int):
+        """The sorted multisets of part classes of exactly ``blocks``
+        blocks that partition mask."""
+        if blocks == 0:
+            return () if mask else ((),)
+        if blocks == 1:
+            return ((cls[mask],),)
+        if blocks > mask.bit_count():
+            return ()
+        key = (cls[mask], blocks)
+        got = memo.get(key)
         if got is not None:
             return got
         low = mask & -mask
         rest = mask ^ low
-        # one vertex set left over per (class of block, class of the rest),
-        # over all blocks containing the lowest vertex
+        # one rest per (class of block, class of the rest), over the blocks
+        # that hold the lowest vertex and leave a nonempty rest
         pairs: dict[tuple[int, int], int] = {}
         sub = rest
-        while True:
-            block = sub | low
-            pairs.setdefault((cls[block], cls[mask ^ block]), mask ^ block)
-            if sub == 0:
-                break
+        while sub:
             sub = (sub - 1) & rest
-        out: set[int] = set()
-        for (c, _), other in pairs.items():
-            add = unit[c]
-            out.update(t + add for t in solve(other) if t & one_field < k)
-        memo[cls[mask]] = out
+            pairs.setdefault((cls[sub | low], cls[rest ^ sub]), rest ^ sub)
+        if blocks == 2:  # the block and its rest
+            out = {(c, r) if c <= r else (r, c) for c, r in pairs}
+        else:
+            rests: dict[int, list[int]] = {}
+            for (c, _), other in pairs.items():
+                rests.setdefault(c, []).append(other)
+            out = set()
+            for c, others in rests.items():
+                tails = set().union(*(solve(o, blocks - 1) for o in others))
+                out.update([tuple(sorted(t + (c,))) for t in tails])
+        memo[key] = out
         return out
 
-    result = set()
-    for t in solve((1 << h.n) - 1):
-        # drop the block count and pad with the 0-vertex class
-        t = (t >> width) + ((k - (t & one_field)) << width * cls[0])
-        ms: list[int] = []
-        while t:
-            c = ((t & -t).bit_length() - 1) // width
-            ms += [c] * (t >> width * c & one_field)
-            t &= ~(one_field << width * c)
-        result.add(tuple(ms))
-    return result
+    # the empty mask's class is numbered 0, below every block's class
+    return {(cls[0],) * (k - blocks) + t
+            for blocks in range(min(k, h.n) + 1) for t in solve((1 << h.n) - 1, blocks)}
 
 
 @lru_cache(maxsize=1)

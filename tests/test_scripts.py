@@ -50,7 +50,7 @@ def test_census_sweep_rejects_nmax_past_the_census_cap():
     2) before any row is printed, not a traceback after the n < 8 rows."""
     proc = _start("census_sweep.py", "--mode", "labeled", "--nmin", "8", "--nmax", "8")
     assert proc.returncode == 2 and proc.stdout == ""
-    assert proc.stderr.splitlines()[-1].endswith("the labeled census takes 1 <= n <= 7")
+    assert proc.stderr.splitlines()[-1].endswith("labeled census supports 1 <= n <= 7")
     assert "Traceback" not in proc.stderr
 
 

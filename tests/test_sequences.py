@@ -156,16 +156,16 @@ def _seeded_graph(n: int, seed: int) -> Graph:
     return random_graph(n, random.Random(seed).getrandbits(n * (n - 1) // 2))
 
 
-def _brute_part_class_multisets(h: Graph, k: int, class_of: list[int]) -> set:
+def _brute_part_class_multisets(h: Graph, k: int, poset) -> set:
     """Every set partition of V(h) into at most k blocks, walked as a
     restricted growth string, as the sorted tuple of its block classes
-    (class_of[mask] for a block mask) padded with the 0-vertex class."""
+    padded with the 0-vertex class."""
     out = set()
 
     def walk(v: int, blocks: list[int]) -> None:
         if v == h.n:
-            classes = [class_of[b] for b in blocks]
-            classes += [class_of[0]] * (k - len(blocks))
+            classes = [poset.class_of_mask[b] for b in blocks]
+            classes += [poset.class_of_mask[0]] * (k - len(blocks))
             out.add(tuple(sorted(classes)))
             return
         for i in range(len(blocks)):
@@ -183,25 +183,12 @@ def _brute_part_class_multisets(h: Graph, k: int, class_of: list[int]) -> set:
     _seeded_graph(n, 200 + seed) for seed, n in enumerate([0, 1, 2, 3, 4, 5, 6, 7, 8, 8, 8])])
 def test_part_class_multisets_match_every_set_partition(h):
     """k = 1..8: on these n <= 8 graphs k >= n reaches every set partition,
-    and k = 8 widens the count vectors' fields from 4 to 5 bits."""
+    so every block count from 0 (the 0-vertex graph) to n is solved and
+    padded."""
     poset = subgraph_poset(h)
     for k in range(1, 9):
         assert part_class_multisets(h, k, poset) == \
-            _brute_part_class_multisets(h, k, poset.class_of_mask), (h, k)
-
-
-def test_c12_part_class_multisets_match_every_set_partition():
-    """Completeness at C12 with k = 5: the 2079475 set partitions of 12
-    vertices into at most 5 blocks, each block classed by its canonical key
-    instead of by class_of_mask, give exactly the table's 1542 multisets.
-    The walk takes about 2.5 CPU s."""
-    h = cycle(12)
-    poset = subgraph_poset(h)
-    class_of_key = {canonical_key(r): c for c, r in enumerate(poset.reps)}
-    by_key = [class_of_key[canonical_key(h.induced(m))] for m in range(1 << h.n)]
-    table = part_class_multisets(h, 5, poset)
-    assert len(table) == 1542
-    assert _brute_part_class_multisets(h, 5, by_key) == table
+            _brute_part_class_multisets(h, k, poset), (h, k)
 
 
 def _witnessed_multisets(h: Graph, k: int, poset) -> dict:
@@ -251,6 +238,7 @@ def test_every_part_class_multiset_has_a_witness_partition(n):
     poset = subgraph_poset(h)
     witnessed = _witnessed_multisets(h, k, poset)
     assert set(witnessed) == part_class_multisets(h, k, poset)
+    assert len(witnessed) == {6: 8, 8: 63, 10: 346, 12: 1542}[n]
     class_of_key = {canonical_key(r): c for c, r in enumerate(poset.reps)}
     for ms, blocks in witnessed.items():
         assert len(blocks) == k
