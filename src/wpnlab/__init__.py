@@ -3,12 +3,14 @@
 from .graphs import (  # noqa: F401
     Graph,
     Graph6Error,
+    automorphism_count,
     canonical_form,
     canonical_key,
     clique,
     contains_induced,
     cycle,
     empty,
+    emit_adjacency_text,
     emit_graph6,
     is_isomorphic,
     parse_graph6,
@@ -32,8 +34,6 @@ from .witnessing import (  # noqa: F401
     WitnessSequence,
     find_certificate,
     is_really_canonical,
-    is_witnessing_sequence,
-    theorem_certifier,
     theorem_sequence,
     verify_cycle_partition_claims,
     wpn,
@@ -48,9 +48,10 @@ from .counting import (  # noqa: F401
     bell,
     c2l_lower_bound,
     f_star,
+    growth_bounds_hold,
+    iter_set_partitions,
     labeled_cograph_count,
     partition_stats,
-    sample_uniform_partition,
 )
 from .census import (  # noqa: F401
     CensusReport,
@@ -58,4 +59,4 @@ from .census import (  # noqa: F401
     girth5_census,
 )
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

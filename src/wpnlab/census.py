@@ -58,8 +58,8 @@ from .witnessing import find_certificate, theorem_cycle, theorem_sequence
 # A labeled C6 census at n = 7 (2^21 graphs) takes about 12.3 CPU s; the
 # 2^28 graphs of n = 8 extrapolate to about 0.7-1.1 CPU hours, never run.
 MAX_LABELED_N = 7
-# A whole n = 9 C6 census (274668 classes) takes about 61 CPU s and 166 MB
-# on one CPU of a 2-vCPU machine, most of it class generation; n = 10 has
+# A whole n = 9 C6 census (274668 classes) took 50.4 CPU s and 167 MB on
+# one CPU of a 2-vCPU machine, most of it class generation; n = 10 has
 # about 12 million classes and was never run.
 MAX_UNLABELED_N = 9
 
@@ -105,10 +105,6 @@ def _edge_mask_rows(n: int, mask: int) -> list[int]:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
     return rows
-
-
-def graph_from_edge_mask(n: int, mask: int) -> Graph:
-    return Graph(n, tuple(_edge_mask_rows(n, mask)))
 
 
 def _shard_graphs(n: int, prefix: int, low: int):
@@ -231,7 +227,6 @@ class CensusReport:
         """The report's data; the CLI's envelope adds the configuration
         and its hash."""
         return {
-            "mode": "labeled" if self.config.mode == "labeled" else "unlabeled-weighted",
             "total": str(self.total),
             "hfree": str(self.hfree),
             "certifiable": str(self.certifiable),
@@ -407,8 +402,6 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
 
 @dataclass
 class Girth5Report:
-    n: int
-    mode: str
     graphs: int                 # girth >= 5 graphs (forests included)
     heavy_check_passed: int
     s_distribution: dict        # s(G) -> count
@@ -416,8 +409,6 @@ class Girth5Report:
 
     def to_dict(self) -> dict:
         return {
-            "n": self.n,
-            "mode": self.mode,
             "graphs": str(self.graphs),
             "heavy_check_passed": str(self.heavy_check_passed),
             "s_distribution": {str(k): str(v) for k, v in
@@ -453,7 +444,6 @@ def girth5_census(n: int, mode: str = "labeled") -> Girth5Report:
         s_dist[s] = s_dist.get(s, 0) + w
         dmax = max(g.degrees(), default=0)
         deg_dist[dmax] = deg_dist.get(dmax, 0) + w
-    return Girth5Report(n=n, mode=mode, graphs=graphs,
-                        heavy_check_passed=heavy_ok,
+    return Girth5Report(graphs=graphs, heavy_check_passed=heavy_ok,
                         s_distribution=s_dist,
                         max_degree_distribution=deg_dist)

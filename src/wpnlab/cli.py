@@ -41,7 +41,7 @@ from .sequences import DEFAULT_BUDGET, classifiable, classify_sequence, \
     enumerate_really_canonical_sequences
 from .witnessing import (
     BudgetExhausted,
-    theorem_certifier,
+    find_certificate,
     theorem_sequence,
     verify_cycle_partition_claims,
     wpn,
@@ -74,11 +74,19 @@ def _read_graph(text: str) -> Graph:
     return _parse_graph(lines[0])
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    """The one writer of reports: the canonical JSON payload for --format
-    json, else the text or CSV lines; to --output if given, else stdout."""
+def _emit(args, config: dict, data: dict, lines: list[str]) -> None:
+    """The one writer of reports: for --format json the canonical JSON of
+    data in its envelope (the subcommand, the version, config, which holds
+    the command's parameters, and config's hash), else the text or CSV
+    lines; to --output if given, else stdout."""
     if args.format == "json":
-        text = canonical_json(payload) + "\n"
+        text = canonical_json({
+            "command": args.subcommand,
+            "version": __version__,
+            "config": config,
+            "config_hash": config_hash(config),
+            **data,
+        }) + "\n"
     else:
         text = "".join(line + "\n" for line in lines)
     if args.output:
@@ -99,35 +107,24 @@ def _check_writable(path: str) -> None:
         os.remove(path)
 
 
-def _envelope(command: str, config: dict, data: dict) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": config,
-        "config_hash": config_hash(config),
-        **data,
-    }
-
-
 # -- subcommand handlers -------------------------------------------------------
 
 
 def _cmd_wpn(args) -> int:
     g = _read_graph(args.graph)
     value = wpn(g)
-    config = {"command": "wpn", "graph": emit_graph6(g)}
-    _emit(args, _envelope("wpn", config, {"wpn": value}), [str(value)])
+    config = {"graph": emit_graph6(g)}
+    _emit(args, config, {"wpn": value}, [str(value)])
     return EXIT_OK
 
 
 def _cmd_certify(args) -> int:
     g = _read_graph(args.graph)
-    masks = theorem_certifier(g, args.theorem)
-    config = {"command": "certify", "graph": emit_graph6(g),
-              "theorem": args.theorem}
+    seq = theorem_sequence(args.theorem)
+    masks = find_certificate(g, seq)
+    config = {"graph": emit_graph6(g), "theorem": args.theorem}
     if masks is None:
-        _emit(args, _envelope("certify", config, {"certificate": None}),
-              ["NONE"])
+        _emit(args, config, {"certificate": None}, ["NONE"])
         return EXIT_OK
     assignment = [0] * g.n
     for i, m in enumerate(masks):
@@ -135,13 +132,11 @@ def _cmd_certify(args) -> int:
             assignment[v] = i
     data = {
         "certificate": {
-            "arity": len(masks),
             "assignment": assignment,
-            "families": [f.label() for f in theorem_sequence(args.theorem).parts],
+            "families": [f.label() for f in seq.parts],
         }
     }
-    _emit(args, _envelope("certify", config, data),
-          [canonical_json(data["certificate"])])
+    _emit(args, config, data, [canonical_json(data["certificate"])])
     return EXIT_OK
 
 
@@ -156,16 +151,14 @@ def _cmd_sequences(args) -> int:
         if classify:
             item["classification"] = classify_sequence(g, seq)
         items.append(item)
-    config = {"command": "sequences", "graph": emit_graph6(g), "k": args.k,
-              "budget": args.budget}
+    config = {"graph": emit_graph6(g), "k": args.k, "budget": args.budget}
     lines = [f"{len(items)} minimal really canonical witnessing {args.k}-sequences"]
     for item in items:
         label = " | ".join(",".join(fam) for fam in item["families"])
         if "classification" in item:
             label += f"  [{item['classification']}]"
         lines.append(label)
-    _emit(args, _envelope("sequences", config,
-                          {"count": len(items), "sequences": items}), lines)
+    _emit(args, config, {"count": len(items), "sequences": items}, lines)
     return EXIT_OK
 
 
@@ -186,12 +179,11 @@ def _cmd_verify_claims(args) -> int:
             "expected": "found" if r.expected_found else "absent",
             **({"witness": r.witness} if r.witness is not None else {}),
         })
-    config = {"command": "verify-claims", "cycle": args.cycle}
+    config = {"cycle": args.cycle}
     lines = [f"{'ok' if ok else 'MISMATCH'}: {len(items)} claim items"]
     lines += [f"{it['claim']} {canonical_json(it['parameters'])}: {it['status']}"
               for it in items]
-    _emit(args, _envelope("verify-claims", config,
-                          {"ok": ok, "items": items}), lines)
+    _emit(args, config, {"ok": ok, "items": items}, lines)
     return EXIT_OK if ok else 1
 
 
@@ -230,14 +222,14 @@ def _decimal(value: int) -> str:
 
 def _cmd_count(args) -> int:
     value = _decimal(_COUNT_FNS[args.fn](args.n))
-    config = {"command": "count", "fn": args.fn, "n": args.n}
-    _emit(args, _envelope("count", config, {"value": value}), [value])
+    config = {"fn": args.fn, "n": args.n}
+    _emit(args, config, {"value": value}, [value])
     return EXIT_OK
 
 
 def _cmd_bound(args) -> int:
     b = c2l_lower_bound(args.n, args.l)
-    config = {"command": "bound", "n": args.n, "l": args.l}
+    config = {"n": args.n, "l": args.l}
     data = {
         "exponent": {"numerator": b.exponent.numerator,
                      "denominator": b.exponent.denominator},
@@ -248,7 +240,7 @@ def _cmd_bound(args) -> int:
     else:
         text = (f"2^({b.exponent.numerator}/{b.exponent.denominator})"
                 f" * {data['bell_factor']}")
-    _emit(args, _envelope("bound", config, data), [text])
+    _emit(args, config, data, [text])
     return EXIT_OK
 
 
@@ -263,14 +255,13 @@ def _cmd_sample_partitions(args) -> int:
         st = partition_stats(p)
         heavy = vertices_in_blocks_larger_than(p, heavy_threshold)
         rows.append((st.blocks, st.nonsingleton_blocks, heavy))
-    config = {"command": "sample-partitions", "n": args.n,
-              "samples": args.samples, "seed": args.seed}
+    config = {"n": args.n, "samples": args.samples, "seed": args.seed}
     data = {"samples": [{"blocks": b, "nonsingletons": ns, "heavy_vertices": h}
                         for b, ns, h in rows]}
     lines = [f"{b},{ns},{h}" for b, ns, h in rows]
     if args.format == "csv":
         lines.insert(0, "blocks,nonsingletons,heavy_vertices")
-    _emit(args, _envelope("sample-partitions", config, data), lines)
+    _emit(args, config, data, lines)
     return EXIT_OK
 
 
@@ -292,17 +283,17 @@ def _cmd_census(args) -> int:
             f"total={d['total']} hfree={d['hfree']} certifiable={d['certifiable']}",
             f"certifiable_fraction={frac['exact']} ({frac['decimal']})",
         ]
-    _emit(args, _envelope("census", report.config.to_dict(), d), lines)
+    _emit(args, report.config.to_dict(), d, lines)
     return EXIT_OK
 
 
 def _cmd_girth5(args) -> int:
     report = girth5_census(args.n, mode=args.mode)
     d = report.to_dict()
-    config = {"command": "girth5-census", "n": args.n, "mode": args.mode}
+    config = {"n": args.n, "mode": args.mode}
     lines = [f"girth>=5 graphs: {d['graphs']}, heavy check passed: "
              f"{d['heavy_check_passed']}"]
-    _emit(args, _envelope("girth5-census", config, d), lines)
+    _emit(args, config, d, lines)
     return EXIT_OK
 
 

@@ -311,7 +311,3 @@ class UniformPartitionSampler:
             urns.setdefault(j, []).append(x)
         # x runs upwards, so the urns are in order of their least element
         return SetPartition(n=self.n, blocks=tuple(map(tuple, urns.values())))
-
-
-def sample_uniform_partition(n: int, seed: int) -> SetPartition:
-    return UniformPartitionSampler(n, seed).sample()

@@ -68,7 +68,11 @@ from .witnessing import BudgetExhausted, WitnessSequence, is_really_canonical, \
 # (Python 3.11), against 2.1 s and 57 MB on G(15, 1/2) drawn the same way
 # from random.Random(15).  With the part-class multisets, the tables of
 # that G(16, 1/2) took 5.3-5.5 CPU s and 130 MB at k = 2 and 10.7-11.5 s and
-# 900 MB at k = 3 (1566045 multisets); k = 4 ran out of 3 GiB.
+# 900 MB at k = 3 (1566045 multisets); k = 4 ran out of 3 GiB.  The cap
+# bounds the tables, not a run: on that G(16, 1/2) a k = 2 run does not
+# finish, since the minimality filter of _build_constraints compares each
+# of its representatives with every kept one (still running after 234 CPU
+# s), and no search budget bounds that filter.
 MAX_SEQUENCE_VERTICES = 16
 # MMCS search nodes an enumeration may use when no budget is given
 DEFAULT_BUDGET = 10_000_000

@@ -70,20 +70,10 @@ def splits_into(h: Graph, cliques: int, stables: int) -> bool:
 # -- sequence validity and certificates --------------------------------------
 
 
-def is_witnessing_sequence(h: Graph, seq: WitnessSequence) -> bool:
-    """True iff no partition of V(h) into len(seq) (possibly empty) parts
-    has every induced part inside its family, i.e. h has no certificate
-    against seq.  The exhaustive search is find_certificate's, so repeated
-    families cost one branch per distinct arrangement, not one per
-    relabelling of their slots.  It works on vertex masks alone, so it is
-    the reference for classify_sequence's check over h's subgraph
-    classes."""
-    return find_certificate(h, seq) is None
-
-
 def find_certificate(g: Graph, seq: WitnessSequence) -> tuple[int, ...] | None:
     """A partition of V(g) with part i inside family i, as one vertex mask
-    per slot in the sequence's order (parts may be empty), or None.
+    per slot in the sequence's order (parts may be empty), or None: seq
+    is witnessing for g exactly when there is none.
 
     Backtracking vertex by vertex; heredity makes pruning on the current
     part content sound.  Each probe is ``member`` on the part's vertex
@@ -179,10 +169,6 @@ def theorem_sequence(theorem: str) -> WitnessSequence:
 def theorem_cycle(theorem: str) -> Graph:
     """The cycle C_{2l} that theorem 'c6', 'c8', 'c10' or 'c2l:<l>' forbids."""
     return cycle(2 * _theorem_l(theorem))
-
-
-def theorem_certifier(g: Graph, theorem: str) -> tuple[int, ...] | None:
-    return find_certificate(g, theorem_sequence(theorem))
 
 
 # -- really canonical sequences ----------------------------------------------

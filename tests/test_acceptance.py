@@ -17,7 +17,6 @@ from wpnlab.census import (
     canonical_json,
     census,
     girth5_census,
-    graph_from_edge_mask,
     _write_manifest,
 )
 from wpnlab.counting import (
@@ -36,14 +35,13 @@ from wpnlab.sequences import classify_sequence, enumerate_really_canonical_seque
 from wpnlab.families import is_restricted
 from wpnlab.witnessing import (
     WitnessSequence,
-    is_witnessing_sequence,
-    theorem_certifier,
+    find_certificate,
     theorem_sequence,
     verify_cycle_partition_claims,
     wpn,
 )
 
-from .test_census import _nx_girth
+from .test_census import _nx_girth, graph_from_edge_mask
 from .test_families import _s_oracle
 
 CLIQUE = FamilySpec.named("clique")
@@ -69,12 +67,12 @@ def test_criterion_01_wpn_table():
 def test_criterion_02_theorem_sequences_witness():
     start = time.monotonic()
     for theorem, n in (("c6", 6), ("c8", 8), ("c10", 10), ("c2l:6", 12)):
-        assert is_witnessing_sequence(cycle(n), theorem_sequence(theorem)), theorem
+        assert find_certificate(cycle(n), theorem_sequence(theorem)) is None, theorem
     # every even cycle C_{2l} partitions into l cliques (its l disjoint
     # edges), so l all-clique families never witness
     for l in (2, 3, 4, 5, 6):
-        assert not is_witnessing_sequence(cycle(2 * l),
-                                          WitnessSequence((CLIQUE,) * l))
+        assert find_certificate(cycle(2 * l),
+                                WitnessSequence((CLIQUE,) * l)) is not None
     assert time.monotonic() - start < 60
 
 
@@ -147,9 +145,9 @@ def test_criterion_07_census_ground_truths():
 
 
 def test_criterion_08_certifier_sanity_and_fraction_range():
-    assert theorem_certifier(cycle(6), "c6") is None
+    assert find_certificate(cycle(6), theorem_sequence("c6")) is None
     two_k3 = clique(3).disjoint_union(clique(3))
-    assert theorem_certifier(two_k3, "c6") is None
+    assert find_certificate(two_k3, theorem_sequence("c6")) is None
     for n in (6, 7):
         rep = _c6_census(n, "unlabeled")
         frac = rep.certifiable_fraction()

@@ -18,7 +18,6 @@ from wpnlab.census import (
     census,
     config_hash,
     girth5_census,
-    graph_from_edge_mask,
     has_induced_cycle,
     _count_shard,
     _fold,
@@ -40,12 +39,18 @@ from wpnlab.graphs import (
 from wpnlab.graphs import Graph
 from wpnlab.witnessing import (
     find_certificate,
-    theorem_certifier,
     theorem_cycle,
     theorem_sequence,
 )
 
 from .test_witnessing import _is_certificate
+
+
+def graph_from_edge_mask(n: int, mask: int) -> Graph:
+    """The validated graph with edge e, the e-th pair i < j in row order,
+    present iff bit e of mask is set: the oracle of the Gray walk."""
+    pairs = itertools.combinations(range(n), 2)
+    return Graph.from_edges(n, [p for e, p in enumerate(pairs) if mask >> e & 1])
 
 
 def test_labeled_cap_rejects_larger_n():
@@ -184,8 +189,9 @@ def test_stale_certificates_never_change_a_fold_count(theorem):
         config = CensusConfig(n=n, forbidden_g6=emit_graph6(cycle(m)),
                               theorem=theorem, mode=mode)
         hfree = sum(w for g, w in weighted if not has_induced_cycle(g, m))
+        seq = theorem_sequence(theorem)
         certifiable = sum(w for g, w in weighted
-                          if theorem_certifier(g, theorem) is not None)
+                          if find_certificate(g, seq) is not None)
         if n >= 6:
             assert 0 < certifiable < hfree
         for _ in range(5 if n < 6 else 1 if n == 6 else 2):
@@ -482,6 +488,18 @@ def test_canonical_json_is_stable():
     assert a == '{"a":[2,3],"b":1}'
     assert config_hash({"x": 1}) == config_hash({"x": 1})
     assert config_hash({"x": 1}) != config_hash({"x": 2})
+
+
+def test_census_config_hashes_are_those_of_version_0_1_0():
+    """Reports and manifests name their configuration by this hash, so a
+    manifest that version 0.1.0 wrote resumes only while it holds."""
+    labeled = CensusConfig(n=7, forbidden_g6="EhEG", theorem="c6",
+                           mode="labeled", shard_prefix_bits=6)
+    unlabeled = CensusConfig(n=9, forbidden_g6="EhEG", theorem="c6",
+                             mode="unlabeled")
+    assert (labeled.hash(), unlabeled.hash()) == (
+        "be32ac90ba661d1acfe485791eb94f6f311c299980e1b5a797bf1e9643578191",
+        "be42694a80d9bf16a4a397f857472c058ab41823d55f2d1aeb66409a1b20d5dc")
 
 
 def _nx_girth(g):

@@ -156,7 +156,7 @@ def test_certify_and_wpn_reports_are_pinned(capsys):
                 out += capsys.readouterr().out
         assert main(["wpn", text, "--format", "json"]) == 0
         out += capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "3a994d9fb60418c8"
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "36f4a9b30e4e8d0b"
 
 
 def test_sequences_json(capsys):
@@ -168,11 +168,11 @@ def test_sequences_json(capsys):
 
 
 @pytest.mark.parametrize("graph, k, digest", [
-    ("EhEG", 2, "835956cda7f596d6"),              # C6
-    ("GhCGKC", 3, "8e076f70acc308a0"),            # C8
-    ("IhCGGC@_G", 4, "b138926e6f668300"),         # C10
-    ("KhCGGC@?G?o@", 5, "647a6dfce29bed39"),      # C12
-])
+    ("EhEG", 2, "afc1b68a19a01961"),
+    ("GhCGKC", 3, "d19772d68fc60299"),
+    ("IhCGGC@_G", 4, "6dd8054e8b03d140"),
+    ("KhCGGC@?G?o@", 5, "9c4a3ebc5bda64e9"),
+], ids=["C6-k2", "C8-k3", "C10-k4", "C12-k5"])
 def test_sequences_json_is_pinned(capsys, graph, k, digest):
     """The classified sequence reports of C6..C12 at k = wpn, as the case
     lists written out per cycle length classified them."""
@@ -188,7 +188,7 @@ def test_c14_sequences_are_pinned_and_all_case1(capsys):
     assert main(["sequences", "--graph", "MhCGGC@?G?_@?@_?_", "--k", "6",
                  "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "7bdbd1c687cf91b4"
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "85fe5e56338cb4e0"
     payload = json.loads(out)
     assert payload["count"] == 37
     assert {s["classification"] for s in payload["sequences"]} == {"case1"}
@@ -200,7 +200,7 @@ def test_c16_sequences_are_pinned_and_all_case1(capsys):
     assert main(["sequences", "--graph", "OhCGGC@?G?_@?@??_?K?@", "--k", "7",
                  "--format", "json"]) == 0
     out = capsys.readouterr().out
-    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "48de5e173659d637"
+    assert hashlib.sha256(out.encode()).hexdigest()[:16] == "ff1fa925f9cdcae7"
     payload = json.loads(out)
     assert payload["count"] == 43
     assert {s["classification"] for s in payload["sequences"]} == {"case1"}
@@ -337,7 +337,7 @@ def test_verify_claims_witnesses_are_pinned(capsys):
                      "--format", "json"]) == 0
         out += capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "40b08f05f5ef1943a91b5fc9b8e2cd10317a8b6978dec55fac535441b099b0b2"
+        "2a6f6bae266023c50204609d0618f34fee8ec57e3495a8f78037a52f8ecab17f"
 
 
 def test_count_and_bound(capsys):
@@ -365,10 +365,10 @@ def test_sample_partitions_csv(capsys):
 
 
 @pytest.mark.parametrize("n, samples, seed, digest", [
-    (50, 2000, 7, "487c9b07d28b6f9f"),
-    (2000, 400, 7, "72ddea9af8f3e582"),
-    (6, 1000, 11, "0d4f769275e72393"),
-])
+    (50, 2000, 7, "2a26e48810b14859"),
+    (2000, 400, 7, "7fe391dbfccf7577"),
+    (6, 1000, 11, "09c40946cefc81fc"),
+], ids=["n50", "n2000", "n6"])
 def test_sample_partitions_json_is_pinned(capsys, n, samples, seed, digest):
     """Seeded sampler reports, as the sampler drawing with `randrange`
     wrote them."""
@@ -404,7 +404,7 @@ def test_census_json_thread_invariance(capsys):
         assert code == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1] == outputs[2]
-    assert hashlib.sha256(outputs[0].encode()).hexdigest()[:16] == "ded507ca22bd0687"
+    assert hashlib.sha256(outputs[0].encode()).hexdigest()[:16] == "0109563311db3435"
     payload = json.loads(outputs[0])
     assert payload["hfree"] == "1024"
     _validate(payload, "census.schema.json")
@@ -412,15 +412,15 @@ def test_census_json_thread_invariance(capsys):
 
 @pytest.mark.parametrize("argv, digest", [
     (["census", "--n", "7", "--forbid", C6, "--theorem", "c6", "--mode", "unlabeled"],
-     "73b185ca43821bc5"),
+     "313cda5c59f19bd6"),
     (["census", "--n", "7", "--forbid", C8, "--theorem", "c8", "--mode", "unlabeled"],
-     "210faf23c9d0fcd6"),
+     "c118c68562711e70"),
     (["census", "--n", "7", "--forbid", emit_graph6(cycle(10)), "--theorem", "c10",
-      "--mode", "unlabeled"], "8f9afbf2c1f30611"),
+      "--mode", "unlabeled"], "7ba4369faae8e349"),
     (["census", "--n", "6", "--forbid", C8, "--theorem", "c8"],
-     "409617734810a874"),
-    (["girth5-census", "--n", "8", "--mode", "labeled"], "8983adcb68477ed9"),
-    (["girth5-census", "--n", "8", "--mode", "unlabeled"], "c0be007c31c41178"),
+     "a98faf7fddb29623"),
+    (["girth5-census", "--n", "8", "--mode", "labeled"], "5cd5ab00d35bd66d"),
+    (["girth5-census", "--n", "8", "--mode", "unlabeled"], "c838f35f24243641"),
 ], ids=["unlabeled-7-c6", "unlabeled-7-c8", "unlabeled-7-c10", "labeled-6-c8",
         "girth5-8-labeled", "girth5-8-unlabeled"])
 def test_census_json_is_pinned(capsys, argv, digest):
@@ -429,6 +429,7 @@ def test_census_json_is_pinned(capsys, argv, digest):
     assert main(argv + ["--format", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+    _validate(json.loads(out), f"{argv[0]}.schema.json")
 
 
 def test_census_csv_shards(capsys):
@@ -491,6 +492,25 @@ def test_c2l_census_names_the_cycle_it_expects(capsys):
 
 
 CENSUS_N5 = ["census", "--n", "5", "--forbid", C6, "--theorem", "c6"]
+
+
+def test_schemas_reject_a_restated_field(capsys):
+    """Each fact is in a report once: a census mode beside config.mode, a
+    command inside config, or a certificate arity beside its families
+    fails validation."""
+    _, census = _run_json(capsys, CENSUS_N5)
+    _, certify = _run_json(capsys, ["certify", "Bw", "--theorem", "c6"])
+    _validate(census, "census.schema.json")
+    _validate(certify, "certify.schema.json")
+    cert = certify["certificate"]
+    for payload, schema in [
+            (dict(census, mode="labeled"), "census.schema.json"),
+            (dict(census, config=dict(census["config"], command="census")),
+             "census.schema.json"),
+            (dict(certify, certificate=dict(cert, arity=len(cert["families"]))),
+             "certify.schema.json")]:
+        with pytest.raises(jsonschema.ValidationError):
+            _validate(payload, schema)
 
 
 @pytest.mark.parametrize("case", ["resume-from-a-directory",

@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from wpnlab.census import graph_from_edge_mask
 from wpnlab.counting import (
     MAX_BELL_N,
     MAX_COGRAPH_N,
@@ -24,11 +23,12 @@ from wpnlab.counting import (
     labeled_cograph_count,
     le_times_log2,
     partition_stats,
-    sample_uniform_partition,
     vertices_in_blocks_larger_than,
     _urn_weight_table,
 )
 from wpnlab.families import FamilySpec, member
+
+from .test_census import graph_from_edge_mask
 
 
 def test_bell_spot_values():
@@ -163,7 +163,7 @@ def test_partition_stats():
 
 
 def test_sampler_determinism_and_bounds():
-    a = [sample_uniform_partition(7, 123).blocks for _ in range(3)]
+    a = [UniformPartitionSampler(7, 123).sample().blocks for _ in range(3)]
     assert a[0] == a[1] == a[2]
     s1 = UniformPartitionSampler(7, 9)
     s2 = UniformPartitionSampler(7, 9)
@@ -205,7 +205,7 @@ def test_sampler_stream_matches_randrange_reference():
 
 
 def test_sampler_n1_and_n2():
-    assert sample_uniform_partition(1, 5).blocks == ((0,),)
+    assert UniformPartitionSampler(1, 5).sample().blocks == ((0,),)
     s = UniformPartitionSampler(2, 31)
     together = sum(1 for _ in range(40000) if len(s.sample().blocks) == 1)
     assert abs(together / 40000 - 0.5) < 0.01

@@ -1,8 +1,9 @@
 """Every name that a module of src/wpnlab (other than the package's
 __init__.py, which re-exports) or a script in scripts/ imports is used
-in that file, and every private module-level name of src/wpnlab is read
-somewhere in src/wpnlab; CI runs no linter, so these are the checks for
-dead imports and dead private code."""
+in that file; every private module-level name of src/wpnlab is read
+somewhere in src/wpnlab; and every public one is exported by __init__.py
+or read in src/wpnlab or scripts/.  CI runs no linter, so these are the
+checks for dead imports, dead private code and dead public code."""
 
 import ast
 import pathlib
@@ -60,8 +61,8 @@ def _reads(node: ast.AST) -> set[str]:
 
 
 def _defines(node: ast.stmt) -> list[str]:
-    """Private names (one leading underscore) a module-level function,
-    class or assignment binds."""
+    """Names (but dunders) a module-level function, class or assignment
+    binds."""
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
         names = [node.name]
     elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -69,28 +70,40 @@ def _defines(node: ast.stmt) -> list[str]:
         names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
     else:
         names = []
-    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+    return [n for n in names if not n.startswith("__")]
 
 
-def _unread_private_names(files: list[pathlib.Path],
-                          root: pathlib.Path = ROOT) -> tuple[int, list[str]]:
-    """How many private names the files define, and those that no other
-    module-level statement of the files reads (a function calling only
-    itself is unread)."""
-    stmts = [(p, node) for p in files
-             for node in ast.parse(p.read_text(), filename=str(p)).body]
-    reads = [_reads(node) for _, node in stmts]
+def _unread_names(files: list[pathlib.Path], root: pathlib.Path = ROOT, *,
+                  public: bool = False,
+                  readers: tuple[pathlib.Path, ...] = ()) -> tuple[int, list[str]]:
+    """How many private (or, with ``public``, public) names the files
+    define, and those that no other module-level statement of the files
+    or of ``readers`` reads (a function calling only itself is unread).
+    An import counts as a read, so a name that __init__.py re-exports is
+    read."""
+    def body(paths):
+        return [(p, node) for p in paths
+                for node in ast.parse(p.read_text(), filename=str(p)).body]
+
+    defined = body(files)
+    reads = [_reads(node) for _, node in defined + body(readers)]
     seen, unread = 0, []
-    for i, (path, node) in enumerate(stmts):
+    for i, (path, node) in enumerate(defined):
         for name in _defines(node):
+            if name.startswith("_") == public:
+                continue
             seen += 1
             if not any(name in r for j, r in enumerate(reads) if j != i):
                 unread.append(f"{path.relative_to(root)}:{node.lineno}: {name}")
     return seen, unread
 
 
+def _modules() -> list[pathlib.Path]:
+    return sorted((ROOT / "src" / "wpnlab").glob("*.py"))
+
+
 def test_every_private_name_is_read():
-    seen, unread = _unread_private_names(sorted((ROOT / "src" / "wpnlab").glob("*.py")))
+    seen, unread = _unread_names(_modules())
     assert seen >= 70
     assert unread == []
 
@@ -104,5 +117,30 @@ def test_the_check_sees_an_unread_private_name(tmp_path):
         "def public():\n    return _helper()\n")
     (tmp_path / "b.py").write_text("from .a import _Box\n__all__ = []\n")
     files = [tmp_path / "a.py", tmp_path / "b.py"]
-    assert _unread_private_names(files, tmp_path) == (
+    assert _unread_names(files, tmp_path) == (
         6, ["a.py:2: _spare", "a.py:3: _walk"])
+
+
+def test_every_public_name_is_exported_or_read():
+    scripts = tuple(sorted((ROOT / "scripts").glob("*.py")))
+    seen, unread = _unread_names(_modules(), public=True, readers=scripts)
+    assert seen >= 80
+    assert unread == []
+
+
+def test_the_check_sees_an_unexported_unread_public_name(tmp_path):
+    (tmp_path / "a.py").write_text(
+        "LIMIT = 3\n"
+        "def helper():\n    return LIMIT\n"
+        "def exported():\n    return helper()\n"
+        "def spare(n):\n    return spare(n - 1) if n else 0\n"
+        "class Box:\n    pass\n"
+        "class Unused:\n    pass\n")
+    (tmp_path / "__init__.py").write_text(
+        "from .a import exported\n__version__ = '1'\n")
+    (tmp_path / "s.py").write_text(
+        "import pkg.a\ndef main():\n    return pkg.a.Box\n")
+    files = [tmp_path / "a.py", tmp_path / "__init__.py"]
+    assert _unread_names(files, tmp_path, public=True,
+                         readers=(tmp_path / "s.py",)) == (
+        6, ["a.py:6: spare", "a.py:10: Unused"])

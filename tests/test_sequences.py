@@ -21,8 +21,8 @@ from wpnlab.sequences import (
 from wpnlab.witnessing import (
     BudgetExhausted,
     WitnessSequence,
+    find_certificate,
     is_really_canonical,
-    is_witnessing_sequence,
     splits_into,
 )
 
@@ -350,7 +350,7 @@ def test_c6_enumeration_properties():
     assert len(seqs) > 0
     seen = set()
     for s in seqs:
-        assert is_witnessing_sequence(g, s)
+        assert find_certificate(g, s) is None
         assert is_really_canonical(s)
         norm = tuple(sorted(tuple(canonical_key(p) for p in f.patterns)
                             for f in s.parts))
@@ -365,7 +365,7 @@ def test_c6_enumeration_properties():
                     parts[i] = FamilySpec.forbidden(smaller)
                 else:
                     continue  # empty basis = all graphs, trivially breaks
-                assert not is_witnessing_sequence(g, WitnessSequence(tuple(parts)))
+                assert find_certificate(g, WitnessSequence(tuple(parts))) is not None
         # bases are antichains
         from wpnlab.graphs import contains_induced
         for f in s.parts:
@@ -546,7 +546,7 @@ def test_class_level_witness_check_matches_the_vertex_search(n):
     assert seqs
     for s in seqs:
         assert wpnlab.sequences._is_witnessing(h, s)
-        assert is_witnessing_sequence(h, s)
+        assert find_certificate(h, s) is None
         for i, f in enumerate(s.parts):
             for j in range(len(f.patterns)):
                 smaller = f.patterns[:j] + f.patterns[j + 1:]
@@ -556,7 +556,7 @@ def test_class_level_witness_check_matches_the_vertex_search(n):
                 parts[i] = FamilySpec.forbidden(smaller)
                 weak = WitnessSequence(tuple(parts))
                 assert not wpnlab.sequences._is_witnessing(h, weak)
-                assert not is_witnessing_sequence(h, weak)
+                assert find_certificate(h, weak) is not None
 
 
 def test_member_is_asked_once_per_family_and_class(monkeypatch):
@@ -621,7 +621,7 @@ def test_classify_all_clique_sequence_for_c6():
     # [Clique, Clique] is witnessing for C6 (no partition into two cliques
     # exists) and its families are cograph-and-(cliques or stables) shaped
     seq = WitnessSequence((FamilySpec.named("clique"),) * 2)
-    assert is_witnessing_sequence(cycle(6), seq)
+    assert find_certificate(cycle(6), seq) is None
     assert classify_sequence(cycle(6), seq) == "case2"
 
 
@@ -642,6 +642,6 @@ def test_c6_stable_large_family_sequence_is_case2():
     f1 = FamilySpec.forbidden([empty(3), twok2, path(4)])
     f2 = FamilySpec.forbidden([path(3), path(3).complement()])
     seq = WitnessSequence((f1, f2))
-    assert is_witnessing_sequence(cycle(6), seq)
+    assert find_certificate(cycle(6), seq) is None
     assert is_really_canonical(seq)
     assert classify_sequence(cycle(6), seq) == "case2"

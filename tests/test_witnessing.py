@@ -19,9 +19,7 @@ from wpnlab.witnessing import (
     WitnessSequence,
     find_certificate,
     is_really_canonical,
-    is_witnessing_sequence,
     partition_into_parts,
-    theorem_certifier,
     theorem_cycle,
     theorem_sequence,
     verify_cycle_partition_claims,
@@ -110,14 +108,14 @@ def test_wpn_complement_invariant(g):
 
 
 def test_is_witnessing_sequence_spot_values():
-    assert is_witnessing_sequence(cycle(6), WitnessSequence((STABLE, COGIRTH5)))
-    assert is_witnessing_sequence(cycle(3), WitnessSequence((STABLE, STABLE)))
-    assert not is_witnessing_sequence(cycle(4), WitnessSequence((STABLE, STABLE)))
+    assert find_certificate(cycle(6), WitnessSequence((STABLE, COGIRTH5))) is None
+    assert find_certificate(cycle(3), WitnessSequence((STABLE, STABLE))) is None
+    assert find_certificate(cycle(4), WitnessSequence((STABLE, STABLE))) is not None
     # C_{2l} partitions into l cliques (edges), so l all-clique families
     # never witness
     for l in range(2, 7):
-        assert not is_witnessing_sequence(
-            cycle(2 * l), WitnessSequence((CLIQUE,) * l))
+        assert find_certificate(
+            cycle(2 * l), WitnessSequence((CLIQUE,) * l)) is not None
 
 
 def test_theorem_sequences_witness_their_cycles():
@@ -125,7 +123,7 @@ def test_theorem_sequences_witness_their_cycles():
                        ("c2l:7", 14)):
         seq = theorem_sequence(theorem)
         assert is_really_canonical(seq)
-        assert is_witnessing_sequence(cycle(n), seq), theorem
+        assert find_certificate(cycle(n), seq) is None, theorem
 
 
 def test_theorem_preconditions():
@@ -158,13 +156,13 @@ def test_find_certificate_spot_values():
 
 
 def test_theorem_certifier():
-    assert theorem_certifier(cycle(6), "c6") is None
-    assert theorem_certifier(TWO_K3, "c6") is None
-    cert = theorem_certifier(clique(7), "c8")
+    assert find_certificate(cycle(6), theorem_sequence("c6")) is None
+    assert find_certificate(TWO_K3, theorem_sequence("c6")) is None
+    cert = find_certificate(clique(7), theorem_sequence("c8"))
     assert cert is not None and _is_certificate(
         clique(7), theorem_sequence("c8"), cert)
     with pytest.raises(ValueError):
-        theorem_certifier(clique(3), "c2l:4")
+        theorem_sequence("c2l:4")
 
 
 @given(graphs_up_to_6)
@@ -216,8 +214,8 @@ def test_witnessing_monotone_in_forbidden_sets(g, seed_bits):
                                    else clique(2).disjoint_union(clique(2))])
     seq_small = WitnessSequence((base, STABLE))
     seq_big = WitnessSequence((bigger, STABLE))
-    if is_witnessing_sequence(g, seq_small):
-        assert is_witnessing_sequence(g, seq_big)
+    if find_certificate(g, seq_small) is None:
+        assert find_certificate(g, seq_big) is None
 
 
 graphs_up_to_7 = st.integers(0, 7).flatmap(
@@ -282,7 +280,7 @@ def test_find_certificate_matches_brute_force_and_unpruned_search(seq, g):
     exists = any(valid(a) for a in itertools.product(range(k), repeat=g.n))
     cert = find_certificate(g, seq)
     assert (cert is not None) == exists
-    assert is_witnessing_sequence(g, seq) == (not exists)
+    assert (find_certificate(g, seq) is None) == (not exists)
     if cert is not None:
         assert _is_certificate(g, seq, cert)
         assert cert == _unpruned_certificate(g, seq)
