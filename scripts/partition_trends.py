@@ -24,7 +24,10 @@ def main() -> None:
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
 
-    sampler = UniformPartitionSampler(args.n, args.seed)
+    try:
+        sampler = UniformPartitionSampler(args.n, args.seed)
+    except ValueError as e:
+        ap.exit(2, f"{ap.prog}: error: {e}\n")
     heavy_threshold = math.log(args.n) ** 3
     blocks, nonsingle, heavy = [], [], []
     for _ in range(args.samples):

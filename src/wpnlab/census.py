@@ -1,23 +1,27 @@
 """Exhaustive censuses of small graphs: H-free counts, theorem-certifiable
 counts, and girth-5 degree statistics.
 
-Both modes run one fold over (graph, weight) pairs: each graph is tested
-for an induced forbidden cycle, certified, cross-checked for soundness and
-counted with its weight.  Labeled mode feeds it every edge subset (n <= 7)
-with weight 1, sharded by edge-mask prefix for parallel and resumable runs.
-A shard walks its low edge bits in Gray-code order, so each graph is the
-last one with one edge flipped: two XORs on a list of adjacency rows, and
-no validation.  Unlabeled-weighted mode feeds it one representative per
-isomorphism class (n <= 9) with weight n!/|Aut|, which reproduces the
-labeled totals exactly; agreement of the two modes is itself a census
-invariant for n <= 7.  A labeled run has 2^min(6, C(n, 2)) shards at any
-thread count; unlabeled runs are serial, so they take no manifest and
-only one thread (`--threads 1`).
+Both modes run one fold over (graph, weight, flip) triples: each graph is
+tested for an induced forbidden cycle, certified, cross-checked for
+soundness and counted with its weight.  Labeled mode feeds it every edge
+subset (n <= 7) with weight 1, sharded by edge-mask prefix for parallel
+and resumable runs.  A shard walks its low edge bits in Gray-code order,
+so each graph is the last one with one edge flipped: two XORs on a list
+of adjacency rows, and no validation; ``flip`` is the vertex mask of that
+edge's two ends.  Unlabeled-weighted mode feeds it one representative per
+isomorphism class (n <= 9) with weight n!/|Aut| and flip 0, which
+reproduces the labeled totals exactly; agreement of the two modes is
+itself a census invariant for n <= 7.  A labeled run has 2^min(6, C(n, 2))
+shards at any thread count; unlabeled runs are serial, so they take no
+manifest and only one thread (`--threads 1`).
 
-Under every theorem the fold offers each H-free graph the last certificate
-found, as part masks in the theorem's slot order.  It is kept if every
-part is still in its family, which checks the whole certificate; else the
-theorem's search runs, which for c6 tries the maximal stable sets.
+Under every theorem the fold keeps certificates as part masks in the
+theorem's slot order.  If the newest one held on the graph before, only
+the part that holds both ends of the flipped pair is rechecked (the part
+rule): a recognizer reads only its part's rows inside the part, so no
+other part's verdict can change.  Else the few most recently used
+certificates are checked whole, and then the theorem's search runs, which
+for c6 tries the maximal stable sets.
 
 All fractions are exact rationals; reports contain no wall-clock data, so a
 report is byte-identical for a fixed configuration regardless of thread
@@ -55,13 +59,15 @@ from .graphs import (
 )
 from .witnessing import find_certificate, theorem_cycle, theorem_sequence
 
-# A labeled C6 census at n = 7 (2^21 graphs) takes about 12.3 CPU s; the
-# 2^28 graphs of n = 8 extrapolate to about 0.7-1.1 CPU hours, never run.
+# A labeled C6 census at n = 7 (2^21 graphs) takes 8.5-9.2 CPU s; the
+# 2^28 graphs of n = 8 extrapolate to about 0.5-0.85 CPU hours, never run.
 MAX_LABELED_N = 7
 # A whole n = 9 C6 census (274668 classes) took 50.4 CPU s and 167 MB on
 # one CPU of a 2-vCPU machine, most of it class generation; n = 10 has
 # about 12 million classes and was never run.
 MAX_UNLABELED_N = 9
+# How many recently used certificates the fold tries before a search.
+CERTIFICATES_KEPT = 4
 
 
 class ConfigMismatch(Exception):
@@ -108,19 +114,20 @@ def _edge_mask_rows(n: int, mask: int) -> list[int]:
 
 
 def _shard_graphs(n: int, prefix: int, low: int):
-    """Every graph whose edge mask is prefix * 2^low + r, r < 2^low, in
-    Gray-code order of r: step t flips edge ctz(t), two row XORs.  The
-    graphs are built unchecked, since each row tuple is symmetric and
-    loop-free by construction."""
+    """(graph, flip) for every graph whose edge mask is prefix * 2^low + r,
+    r < 2^low, in Gray-code order of r: step t flips edge ctz(t), two row
+    XORs, and ``flip`` is the vertex mask of that edge's two ends (0 for
+    the first graph).  The graphs are built unchecked, since each row
+    tuple is symmetric and loop-free by construction."""
     pairs = _pair_order(n)
     rows = _edge_mask_rows(n, prefix << low)
     trusted = Graph._trusted
-    yield trusted(n, tuple(rows))
+    yield trusted(n, tuple(rows)), 0
     for t in range(1, 1 << low):
         i, j = pairs[(t & -t).bit_length() - 1]
         rows[i] ^= 1 << j
         rows[j] ^= 1 << i
-        yield trusted(n, tuple(rows))
+        yield trusted(n, tuple(rows)), 1 << i | 1 << j
 
 
 # -- fast per-graph predicates -------------------------------------------------
@@ -243,15 +250,22 @@ def _holds(adj, hint) -> bool:
     return True
 
 
-def _fold(config: CensusConfig, weighted_graphs) -> tuple[int, int, int]:
-    """Weighted (total, hfree, certifiable) over (graph, weight) pairs.
+def _fold(config: CensusConfig, stream) -> tuple[int, int, int]:
+    """Weighted (total, hfree, certifiable) over (graph, weight, flip)
+    triples.  A nonzero ``flip`` is the vertex mask of the one pair whose
+    adjacency differs from the graph before; 0 says nothing of it.
 
-    Each H-free graph is offered the last certificate first, as (family
-    recognizer, part mask) pairs, last slot first: cliques and stable sets
-    fail fastest.  Else the theorem's search runs, which gives part masks
-    in the theorem's slot order.  The soundness cross-check runs on a
-    validated copy of every certifiable graph when n <= 6, else of every
-    1024th one visited, counted without weights."""
+    Certificates are kept as (family recognizer, part mask) pairs, last
+    slot first: cliques and stable sets fail fastest.  If the newest one
+    held on the graph before and the pair flipped, only its part holding
+    both ends of the pair is rechecked: every other part induces what it
+    did, and a recognizer reads only its part's rows inside the part.  If
+    that fails, or there is no flip, the ``CERTIFICATES_KEPT`` most
+    recently used certificates are checked whole, newest first; else the
+    theorem's search runs, which gives part masks in the theorem's slot
+    order.  The soundness cross-check runs on a validated copy of every
+    certifiable graph when n <= 6, else of every 1024th one visited,
+    counted without weights."""
     forb = theorem_cycle(config.theorem)
     seq = theorem_sequence(config.theorem)
     recognizers = [_RECOGNIZERS[f.name] for f in seq.parts]
@@ -260,17 +274,36 @@ def _fold(config: CensusConfig, weighted_graphs) -> tuple[int, int, int]:
         partial(find_certificate, seq=seq)
     exhaustive_check = config.n <= 6
     total = hfree = certifiable = checked = 0
-    hint = None
-    for g, w in weighted_graphs:
+    kept = []       # most recently used first
+    held = False    # kept[0] holds on the graph before
+    for g, w, flip in stream:
         total += w
         if has_induced_cycle(g, forb.n):
+            held = False
             continue
         hfree += w
-        if hint is None or not _holds(g.adj, hint):
-            parts = search(g)
-            if parts is None:
-                continue
-            hint = list(zip(recognizers, parts))[::-1]
+        adj = g.adj
+        first = 0
+        if held and flip:
+            for recognize, mask in kept[0]:
+                if mask & flip == flip:
+                    held = recognize(adj, mask)
+                    first = 1
+                    break
+        else:
+            held = False
+        if not held:
+            for k in range(first, len(kept)):
+                if _holds(adj, kept[k]):
+                    kept.insert(0, kept.pop(k))
+                    break
+            else:
+                parts = search(g)
+                if parts is None:
+                    continue
+                kept.insert(0, list(zip(recognizers, parts))[::-1])
+                del kept[CERTIFICATES_KEPT:]
+            held = True
         certifiable += w
         checked += 1
         if exhaustive_check or checked % 1024 == 1:
@@ -289,7 +322,7 @@ def _shard_bits(config: CensusConfig) -> int:
 def _count_shard(config: CensusConfig, prefix: int) -> dict:
     """Exact counts over one edge-mask-prefix shard of the labeled census."""
     total, hfree, certifiable = _fold(
-        config, ((g, 1) for g in
+        config, ((g, 1, flip) for g, flip in
                  _shard_graphs(config.n, prefix, _shard_bits(config))))
     return {"prefix": prefix, "done": True,
             "total": total, "hfree": hfree, "certifiable": certifiable}
@@ -363,7 +396,8 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
         n=n, forbidden_g6=emit_graph6(forbidden), theorem=theorem, mode=mode,
         shard_prefix_bits=min(6, n * (n - 1) // 2) if mode == "labeled" else 0)
     if mode == "unlabeled":
-        total, hfree, certifiable = _fold(config, _unlabeled_level(n))
+        total, hfree, certifiable = _fold(
+            config, ((g, w, 0) for g, w in _unlabeled_level(n)))
         return CensusReport(config=config, total=total, hfree=hfree,
                             certifiable=certifiable)
 

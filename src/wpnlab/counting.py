@@ -288,6 +288,9 @@ class UniformPartitionSampler:
     def __init__(self, n: int, seed: int):
         if not 1 <= n <= MAX_SAMPLER_N:
             raise ValueError(f"sampler supports 1 <= n <= {MAX_SAMPLER_N}")
+        # random.Random seeds with |seed|, so -3 would repeat the draws of 3
+        if seed < 0:
+            raise ValueError(f"sampler seed must be at least 0, got {seed}")
         self.n = n
         self._rng = random.Random(seed)
         self._cum, self._total = _urn_weight_table(n)

@@ -28,8 +28,7 @@ from wpnlab.counting import (
     iter_set_partitions,
     labeled_cograph_count,
 )
-from wpnlab.families import FamilySpec, _unlabeled_level, heavy_degree_check, \
-    member, s_statistic
+from wpnlab.families import FamilySpec, _unlabeled_level, member, s_statistic
 from wpnlab.graphs import clique, cycle
 from wpnlab.sequences import classify_sequence, enumerate_really_canonical_sequences
 from wpnlab.families import is_restricted

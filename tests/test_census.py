@@ -134,7 +134,7 @@ def test_unlabeled_census_at_eight_matches_atlas_extensions():
             for nb in range(1 << 7):
                 yield Graph._trusted(8, tuple(
                     row | (nb >> i & 1) << 7 for i, row in enumerate(rows))
-                    + (nb,)), w
+                    + (nb,)), w, 0
 
     for theorem, m in (("c6", 6), ("c8", 8), ("c10", 10)):
         config = CensusConfig(n=8, forbidden_g6=emit_graph6(cycle(m)),
@@ -196,7 +196,7 @@ def test_stale_certificates_never_change_a_fold_count(theorem):
             assert 0 < certifiable < hfree
         for _ in range(5 if n < 6 else 1 if n == 6 else 2):
             rng.shuffle(weighted)
-            assert _fold(config, weighted) == (
+            assert _fold(config, [(g, w, 0) for g, w in weighted]) == (
                 sum(w for _, w in weighted), hfree, certifiable)
 
 
@@ -289,14 +289,15 @@ def test_soundness_crosscheck_cadence(monkeypatch):
     assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
     calls.clear()
     # one labeled n = 7 shard, walked in Gray-code order
-    shard = _count_shard(_c6_config(7, 6), 3)
+    shard = _count_shard(_config(7, "c6", 6), 3)
     k = shard["certifiable"]
     assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
 
 
-def _c6_config(n: int, prefix_bits: int) -> CensusConfig:
-    return CensusConfig(n=n, forbidden_g6=emit_graph6(cycle(6)), theorem="c6",
-                        mode="labeled", shard_prefix_bits=prefix_bits)
+def _config(n: int, theorem: str, prefix_bits: int) -> CensusConfig:
+    return CensusConfig(n=n, forbidden_g6=emit_graph6(theorem_cycle(theorem)),
+                        theorem=theorem, mode="labeled",
+                        shard_prefix_bits=prefix_bits)
 
 
 def _edge_mask(g: Graph) -> int:
@@ -311,38 +312,81 @@ def _shard_masks(config: CensusConfig, prefix: int) -> range:
 
 def _check_gray_walk(config: CensusConfig, prefix: int, plain: tuple) -> None:
     """The walk visits each mask of the shard once, as the validated graph
-    of that mask, and its counts are ``plain``, the counts in mask order."""
+    of that mask, with the vertex mask of the one pair flipped since the
+    graph before (0 first), and its counts are ``plain``, the counts in
+    mask order."""
     masks = _shard_masks(config, prefix)
     low = len(masks).bit_length() - 1
     walked = list(_shard_graphs(config.n, prefix, low))
-    assert sorted(_edge_mask(g) for g in walked) == list(masks)
-    for g in walked:
+    assert sorted(_edge_mask(g) for g, _ in walked) == list(masks)
+    before = None
+    for g, flip in walked:
         assert g == Graph(g.n, g.adj)
         assert g == graph_from_edge_mask(g.n, _edge_mask(g))
+        if before is None:
+            assert flip == 0
+        else:
+            changed = _edge_mask(g) ^ _edge_mask(before)
+            assert changed.bit_count() == 1
+            i, j = _pair_order(g.n)[changed.bit_length() - 1]
+            assert flip == 1 << i | 1 << j
+        before = g
     shard = _count_shard(config, prefix)
     assert (shard["total"], shard["hfree"], shard["certifiable"]) == plain
 
 
+def _check_gray_walks(theorem: str, n: int) -> None:
+    """Every shard layout of the labeled census at n <= 6 has the plain
+    counts of its masks, each folded alone (n <= 6 cross-checks every
+    certifiable graph anyway)."""
+    whole = _config(n, theorem, 0)
+    per_mask = [_fold(whole, [(graph_from_edge_mask(n, m), 1, 0)])
+                for m in range(1 << n * (n - 1) // 2)]
+    for prefix_bits in (0, 3, 6):
+        if prefix_bits <= n * (n - 1) // 2:
+            config = _config(n, theorem, prefix_bits)
+            for prefix in range(1 << prefix_bits):
+                masks = _shard_masks(config, prefix)
+                plain = tuple(sum(c) for c in
+                              zip(*(per_mask[m] for m in masks)))
+                _check_gray_walk(config, prefix, plain)
+
+
 def test_gray_walk_visits_each_shard_mask_once_with_plain_counts():
     for n in range(1, 7):
-        # _fold on each mask alone: n <= 6 cross-checks every graph anyway
-        whole = _c6_config(n, 0)
-        per_mask = [_fold(whole, [(graph_from_edge_mask(n, m), 1)])
-                    for m in range(1 << n * (n - 1) // 2)]
-        for prefix_bits in (0, 3, 6):
-            if prefix_bits <= n * (n - 1) // 2:
-                config = _c6_config(n, prefix_bits)
-                for prefix in range(1 << prefix_bits):
-                    masks = _shard_masks(config, prefix)
-                    plain = tuple(sum(c) for c in
-                                  zip(*(per_mask[m] for m in masks)))
-                    _check_gray_walk(config, prefix, plain)
+        _check_gray_walks("c6", n)
     # the P3 and P4 shards that the benchmark computes afresh
-    config = _c6_config(7, 6)
+    config = _config(7, "c6", 6)
     for prefix in (3, 19):
-        plain = _fold(config, ((graph_from_edge_mask(7, m), 1)
+        plain = _fold(config, ((graph_from_edge_mask(7, m), 1, 0)
                                for m in _shard_masks(config, prefix)))
         _check_gray_walk(config, prefix, plain)
+
+
+@pytest.mark.parametrize("theorem", ["c8", "c10"])
+def test_gray_walk_rechecks_generic_certificates_with_plain_counts(theorem):
+    """The fold rechecks only the part holding both ends of a flipped
+    pair; under the generic recognizers too, the counts are plain."""
+    for n in range(1, 7):
+        _check_gray_walks(theorem, n)
+
+
+def test_gray_walk_reaches_the_uncertifiable_c8_classes_at_eight():
+    """Every graph on at most 6 vertices has a c8 certificate (and every
+    C10-free one on at most 9 a c10 one), so the counts above cannot tell
+    which part the fold rechecks.  The two C8-free classes on 8 vertices
+    with no certificate can: a walk steps into each from a certified
+    graph by flipping a pair inside one part, which only a recheck of
+    that part refutes."""
+    config = CensusConfig(n=8, forbidden_g6=emit_graph6(cycle(8)),
+                          theorem="c8", mode="unlabeled")
+    for g6 in ("G`?G?C", "GWCOOK"):
+        prefix = _edge_mask(parse_graph6(g6)) >> 8
+        walk = _fold(config, ((g, 1, flip) for g, flip in
+                              _shard_graphs(8, prefix, 8)))
+        plain = _fold(config, ((graph_from_edge_mask(8, prefix << 8 | r),
+                                1, 0) for r in range(1 << 8)))
+        assert walk == plain and plain[2] < plain[1]
 
 
 def test_census_config_rejects_bad_theorem_ids():

@@ -396,6 +396,20 @@ def test_negative_sample_count_exits_2(capsys):
     assert code == 0 and payload["samples"] == []
 
 
+def test_negative_seed_exits_2_and_fails_the_schema(capsys):
+    """A negative seed would repeat the samples of its absolute value under
+    another config hash, so the CLI refuses it and the schema forbids it."""
+    argv = ["sample-partitions", "--n", "6", "--samples", "3", "--seed"]
+    assert main(argv + ["-3"]) == 2
+    assert capsys.readouterr() == (
+        "", "wpn-lab: sampler seed must be at least 0, got -3\n")
+    _, payload = _run_json(capsys, argv + ["3"])
+    _validate(payload, "sample-partitions.schema.json")
+    with pytest.raises(jsonschema.ValidationError):
+        _validate(dict(payload, config=dict(payload["config"], seed=-3)),
+                  "sample-partitions.schema.json")
+
+
 def test_census_json_thread_invariance(capsys):
     outputs = []
     for t in ("1", "4", "8"):

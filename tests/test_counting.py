@@ -11,7 +11,6 @@ from wpnlab.counting import (
     MAX_BELL_N,
     MAX_COGRAPH_N,
     MAX_F_STAR_N,
-    PowBellBound,
     SetPartition,
     UniformPartitionSampler,
     bell,
@@ -172,6 +171,14 @@ def test_sampler_determinism_and_bounds():
         UniformPartitionSampler(0, 1)
     with pytest.raises(ValueError):
         UniformPartitionSampler(2001, 1)
+
+
+def test_sampler_rejects_a_negative_seed():
+    """random.Random seeds with |seed|, so a negative seed would repeat the
+    samples of its absolute value."""
+    with pytest.raises(ValueError, match="seed must be at least 0, got -3"):
+        UniformPartitionSampler(7, -3)
+    UniformPartitionSampler(7, 0).sample()
 
 
 def _randrange_sample(sampler):

@@ -10,7 +10,6 @@ from wpnlab.families import (
     NoFiniteBasisError,
     _unlabeled_level,
     _unlabeled_up_to,
-    basis_of,
     family_subset,
     heavy_degree_check,
     is_restricted,
@@ -21,7 +20,6 @@ from wpnlab.families import (
 from wpnlab.graphs import (
     bits,
     clique,
-    contains_induced,
     cycle,
     emit_graph6,
     empty,
@@ -30,7 +28,7 @@ from wpnlab.graphs import (
     star,
 )
 
-from .test_graphs import classes_up_to, graphs_up_to_6, random_graph
+from .test_graphs import classes_up_to, graphs_up_to_6
 
 P3 = path(3)
 COP3 = P3.complement()

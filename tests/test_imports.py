@@ -1,9 +1,10 @@
 """Every name that a module of src/wpnlab (other than the package's
-__init__.py, which re-exports) or a script in scripts/ imports is used
-in that file; every private module-level name of src/wpnlab is read
-somewhere in src/wpnlab; and every public one is exported by __init__.py
-or read in src/wpnlab or scripts/.  CI runs no linter, so these are the
-checks for dead imports, dead private code and dead public code."""
+__init__.py, which re-exports), a script in scripts/ or a test module in
+tests/ imports is used in that file; every private module-level name of
+src/wpnlab is read somewhere in src/wpnlab; and every public one is
+exported by __init__.py or read in src/wpnlab or scripts/.  CI runs no
+linter, so these are the checks for dead imports, dead private code and
+dead public code."""
 
 import ast
 import pathlib
@@ -30,12 +31,13 @@ def _unused_imports(path: pathlib.Path, root: pathlib.Path = ROOT) -> list[str]:
 def _checked_files() -> list[pathlib.Path]:
     modules = [p for p in sorted((ROOT / "src" / "wpnlab").glob("*.py"))
                if p.name != "__init__.py"]
-    return modules + sorted((ROOT / "scripts").glob("*.py"))
+    return modules + sorted((ROOT / "scripts").glob("*.py")) + \
+        sorted((ROOT / "tests").glob("*.py"))
 
 
 def test_every_imported_name_is_used():
     files = _checked_files()
-    assert len(files) >= 10
+    assert len(files) >= 20
     assert [u for p in files for u in _unused_imports(p)] == []
 
 

@@ -63,6 +63,15 @@ def test_partition_trends_prints_the_bell_ratio_mean():
     assert len(lines) == 4
 
 
+def test_partition_trends_rejects_a_negative_seed():
+    """Exit 2 with one line on stderr, not a traceback."""
+    proc = _start("partition_trends.py", "--n", "20", "--samples", "2",
+                  "--seed", "-3")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "partition_trends.py: error: sampler seed must be at least 0, got -3"]
+
+
 def test_sequence_survey_tallies_c6_to_c12():
     lines = _run("sequence_survey.py")
     assert len(lines) == 4

@@ -7,7 +7,7 @@ import pytest
 import wpnlab.families
 import wpnlab.graphs
 import wpnlab.sequences
-from wpnlab.families import FamilySpec, basis_of
+from wpnlab.families import FamilySpec
 from wpnlab.graphs import Graph, canonical_key, clique, contains_induced, cycle, \
     empty, path
 from wpnlab.sequences import (

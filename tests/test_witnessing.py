@@ -13,7 +13,6 @@ from wpnlab.graphs import (
     empty,
     is_isomorphic,
     path,
-    star,
 )
 from wpnlab.witnessing import (
     WitnessSequence,
