@@ -29,6 +29,7 @@ from .graphs import (
     emit_graph6,
     mask_components,
     maximal_stable_sets,
+    parse_graph6,
 )
 
 # A recognizer takes adjacency rows ``adj`` and a vertex mask ``s`` and
@@ -160,11 +161,24 @@ _RECOGNIZERS = {
 
 NAMED_FAMILIES = tuple(_RECOGNIZERS)
 
-# No finite forbidden-induced basis exists (all odd cycles / their
-# complements are minimal obstructions).
-_NO_FINITE_BASIS = {"bipartite", "co-bipartite"}
-
-_BASIS_SEARCH_MAX = 6
+# The minimal forbidden induced subgraphs of each named family, as graph6
+# of their canonical forms in canonical_key order.  The bipartite and
+# co-bipartite families have none finite (every odd cycle, or its
+# complement, is a minimal obstruction), so they are left out.
+_NAMED_BASES = {
+    "clique": ("A?",),
+    "stable": ("A_",),
+    "co-girth-5": ("B?", "C`"),
+    "stars-triangles-co": ("C?", "C@", "CB", "C`", "CR"),
+    "stars-cliques-co": ("C@", "CB", "C`", "CR"),
+    "split-join-components-co": ("CB", "C`", "CR"),
+    "cograph": ("CR",),
+    "complete-multipartite": ("BG",),
+    "disjoint-cliques": ("BW",),
+    "co-matching": ("B?", "BG"),
+    "clique-union-stable": ("BW", "C`"),
+    "split": ("C`", "Cr", "DqK"),
+}
 
 
 class NoFiniteBasisError(ValueError):
@@ -303,28 +317,20 @@ def _unlabeled_level(n: int):
 
 @lru_cache(maxsize=None)
 def named_forbidden_basis(name: str) -> tuple[Graph, ...]:
-    """Minimal forbidden induced subgraphs of a named family.
+    """Minimal forbidden induced subgraphs of a named family, read from
+    its graph6 table.
 
-    Computed by brute force over all graphs with <= 6 vertices: a graph is
-    in the basis iff it is outside the family while all its one-vertex
-    deletions are inside.  Basis consistency against the recognizers is
-    re-checked exhaustively (n <= 6) in the test suite.
+    The tests derive every table entry by brute force over all graphs
+    with <= 6 vertices (a graph is in the basis iff it is outside the
+    family while all its one-vertex deletions are inside) and check that
+    each recognizer and its basis agree on every such graph.
     """
     if name not in _RECOGNIZERS:
         raise ValueError(f"unknown family name {name!r}")
-    if name in _NO_FINITE_BASIS:
+    if name not in _NAMED_BASES:
         raise NoFiniteBasisError(
             f"{name} has no finite forbidden-induced basis (odd cycles)")
-    fam = FamilySpec.named(name)
-    out = []
-    for n in range(1, _BASIS_SEARCH_MAX + 1):
-        for g, _ in _unlabeled_level(n):
-            if member(fam, g):
-                continue
-            full = g.vertex_mask()
-            if all(member(fam, g, full ^ 1 << v) for v in range(n)):
-                out.append(g)
-    return tuple(sorted(out, key=canonical_key))
+    return tuple(parse_graph6(text) for text in _NAMED_BASES[name])
 
 
 def basis_of(f: FamilySpec) -> tuple[Graph, ...]:

@@ -31,8 +31,13 @@ the hitting sets it yields do not depend on it.  A split of V(h) into c
 cliques and k - c stable sets is an assignment that c clique slots and
 k - c stable slots cannot reject, so only the slot types that
 splits_into finds no split for are searched, and no poset is built when
-there are none.  MMCS yields every slot relabelling of a sequence, so a
-sequence is built only for the first hitting set with its class ids.
+there are none; once k >= h.n singletons split V(h) for every type, and
+no split is sought.  The constraints are closed under permuting slots of
+one type, and MMCS yields one hitting set per orbit of those
+permutations: the one whose same-type slots hold non-increasing class
+masks, with the subtrees that hold no such set skipped.  A sequence can
+still come out under two slot-type vectors, so it is built only for the
+first hitting set with its class ids.
 
 Each cycle C_{2l} has a case list of slot targets.  Case 1 is the theorem's
 own sequence for C_{2l} with each clique slot widened to cliques-or-tiny;
@@ -272,16 +277,36 @@ def _build_constraints(poset: SubgraphPoset, multisets: set[tuple[int, ...]],
         len(c), [(-i, -p) for i, p in sorted(c)]))
 
 
-def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
-    """Yield every minimal hitting set once: MMCS (Murakami & Uno, *Discrete
-    Applied Math.* 170, 2014) with criticality pruning and the candidate
-    set.  A node branches on the elements of the uncovered constraint of
-    least index that are still candidates; those leave the candidate set,
-    and each returns to it after its own branch, so a set is built only in
-    the branch of its last element in that constraint.  The hitting sets
-    do not depend on the order of the list, but the node count is fixed by
-    it.  _build_constraints sorts by size, so the constraint branched on
-    is always a smallest uncovered one.
+def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int],
+                          types: tuple[str, ...]):
+    """Yield one minimal hitting set per orbit of the permutations of
+    same-type slots: MMCS (Murakami & Uno, *Discrete Applied Math.* 170,
+    2014) with criticality pruning, the candidate set, and lex-leader
+    symmetry breaking (Crawford, Ginsberg, Luks & Roy, KR 1996).  The
+    elements are (slot, class) pairs, and ``types`` gives each slot's type.
+
+    A node branches on the elements of the uncovered constraint of least
+    index that are still candidates; those leave the candidate set, and
+    each returns to it after its own branch, so a set is built only in the
+    branch of its last element in that constraint, and every minimal
+    hitting set is built once.  The hitting sets do not depend on the
+    order of the list, but the node count is fixed by it.
+    _build_constraints sorts by size, so the constraint branched on is
+    always a smallest uncovered one.
+
+    The constraints are closed under permuting slots of one type, so the
+    minimal hitting sets fall into orbits under those permutations.  Read
+    the classes a set puts in slot i as an integer J_i, class p as bit p.
+    Each orbit has exactly one member whose same-type slots have
+    non-increasing J (sort them), and only that member is yielded.
+    ``have[i]`` holds the classes chosen for slot i and ``reach[i]`` those
+    (i, p) still candidates; a set built below a node adds candidates of
+    that node only.  So if have[j] > have[i] | reach[i] for same-type
+    slots i < j, every set below has J_j >= have[j] > have[i] | reach[i]
+    >= J_i, no non-increasing member lies there, and the child is
+    skipped.  As each orbit's non-increasing member is built once and
+    never skipped, every orbit comes out exactly once.  With no two slots
+    of one type this is the plain search.
 
     The uncovered constraints, the constraints each element hits and the
     critical constraints of each chosen element (those it alone hits) are
@@ -296,6 +321,12 @@ def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
         for e in c:
             index[e] = index.get(e, 0) | 1 << ci
     cand = set(index)
+    pairs = [(i, j) for i, j in itertools.combinations(range(len(types)), 2)
+             if types[i] == types[j]]
+    have = [0] * len(types)
+    reach = [0] * len(types)
+    for i, p in cand:
+        reach[i] |= 1 << p
 
     def solve(chosen: dict, uncov: int):
         if nodes[0] == nodes[1]:
@@ -304,12 +335,16 @@ def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
                 f"nodes used of a budget of {nodes[1]}")
         nodes[0] += 1
         if not uncov:
-            yield frozenset(chosen)
+            if all(have[i] >= have[j] for i, j in pairs):
+                yield frozenset(chosen)
             return
         ci = (uncov & -uncov).bit_length() - 1
         branch = sorted(cand & constraints[ci])
         cand.difference_update(branch)
+        for i, p in branch:
+            reach[i] &= ~(1 << p)
         for e in branch:
+            i, p = e
             hits = index[e]
             new_crit = {}
             for v, crit in chosen.items():
@@ -318,9 +353,13 @@ def _minimal_hitting_sets(constraints: list[frozenset], nodes: list[int]):
                     break
                 new_crit[v] = crit
             else:
-                new_crit[e] = hits & uncov
-                yield from solve(new_crit, uncov & ~hits)
+                have[i] |= 1 << p
+                if not any(have[b] > have[a] | reach[a] for a, b in pairs):
+                    new_crit[e] = hits & uncov
+                    yield from solve(new_crit, uncov & ~hits)
+                have[i] ^= 1 << p
             cand.add(e)
+            reach[i] |= 1 << p
 
     yield from solve({}, (1 << len(constraints)) - 1)
 
@@ -343,6 +382,11 @@ def enumerate_really_canonical_sequences(
     if budget < 0:
         raise ValueError(f"budget must be at least 0, got {budget}")
     _check_size(h)
+    # singletons split V(h) into any c cliques and k - c stable sets once
+    # k >= h.n, so no slot types can witness; answering that before the
+    # loop saves a splits_into per type vector
+    if k >= h.n:
+        return []
     # c clique slots and k - c stable slots can witness only when V(h) has
     # no split into c cliques and k - c stable sets
     slot_cliques = [c for c in range(k + 1) if not splits_into(h, c, k - c)]
@@ -356,7 +400,7 @@ def enumerate_really_canonical_sequences(
     for c in slot_cliques:
         types = ("C",) * c + ("S",) * (k - c)
         constraints = _build_constraints(poset, multisets, types)
-        for hs in _minimal_hitting_sets(constraints, nodes):
+        for hs in _minimal_hitting_sets(constraints, nodes, types):
             slots: list[list[int]] = [[] for _ in range(k)]
             for (i, p) in hs:
                 slots[i].append(p)

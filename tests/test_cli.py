@@ -215,6 +215,21 @@ def test_sequences_budget_exit_code(capsys):
                             "5 search nodes used of a budget of 5\n")
 
 
+def test_sequences_with_k_far_above_the_vertex_count_answer_at_once(
+        capsys, monkeypatch):
+    """Once k >= n no slot types can witness, so the answer comes with no
+    split test per type vector."""
+    import wpnlab.sequences as seq
+
+    def no_split_test(h, cliques, stables):
+        raise AssertionError("ran a split test")
+
+    monkeypatch.setattr(seq, "splits_into", no_split_test)
+    assert main(["sequences", "--graph", "Bw", "--k", "1000000"]) == 0
+    assert capsys.readouterr().out == \
+        "0 minimal really canonical witnessing 1000000-sequences\n"
+
+
 def test_negative_sequence_budget_exits_2(capsys):
     # a count from 0 never reaches a negative budget, so it would be no bound
     assert main(["sequences", "--graph", C6, "--k", "2", "--budget", "-5"]) == 2

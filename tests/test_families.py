@@ -19,6 +19,7 @@ from wpnlab.families import (
 )
 from wpnlab.graphs import (
     bits,
+    canonical_key,
     clique,
     cycle,
     emit_graph6,
@@ -211,6 +212,25 @@ def test_recognizer_equals_forbidden_basis(name):
         assert not member(fam, p)
         for v in range(p.n):
             assert member(fam, p.induced(full ^ (1 << v)))
+
+
+def _brute_force_basis(name: str) -> tuple:
+    """Every graph on <= 6 vertices outside the family whose one-vertex
+    deletions are all inside, in canonical_key order."""
+    fam = FamilySpec.named(name)
+    return tuple(sorted(
+        (g for g in classes_up_to(6) if not member(fam, g)
+         and all(member(fam, g, g.vertex_mask() ^ 1 << v) for v in range(g.n))),
+        key=canonical_key))
+
+
+@pytest.mark.parametrize("name", [n for n in NAMED_FAMILIES
+                                  if n not in ("bipartite", "co-bipartite")])
+def test_basis_table_equals_the_brute_force_basis(name):
+    """The graph6 table of each named basis is what the search over every
+    graph on <= 6 vertices finds, as the same canonical graphs in the
+    same order."""
+    assert named_forbidden_basis(name) == _brute_force_basis(name)
 
 
 def test_known_bases():

@@ -317,11 +317,11 @@ def test_constraints_match_every_ordering():
 
 def test_c12_search_node_count_is_pinned():
     """The budget counts MMCS nodes, and their number follows the order of
-    the kept constraints: C12 with k = 5 takes 13605 of them."""
+    the kept constraints: C12 with k = 5 takes 3584 of them."""
     h = cycle(12)
-    assert len(enumerate_really_canonical_sequences(h, 5, budget=13605)) == 31
-    with pytest.raises(BudgetExhausted, match="13604 search nodes used"):
-        enumerate_really_canonical_sequences(h, 5, budget=13604)
+    assert len(enumerate_really_canonical_sequences(h, 5, budget=3584)) == 31
+    with pytest.raises(BudgetExhausted, match="3583 search nodes used"):
+        enumerate_really_canonical_sequences(h, 5, budget=3583)
 
 
 def test_no_poset_when_no_slot_type_can_witness(monkeypatch):
@@ -479,31 +479,188 @@ def test_budget_exhaustion_is_loud():
         enumerate_really_canonical_sequences(cycle(6), 2, budget=5)
 
 
+def test_k_at_least_the_vertex_count_has_no_sequences():
+    """Once k >= n every slot type vector splits V(h) into singletons, as
+    the loop over type vectors finds, so the enumeration answers [] before
+    it; below n the answer is the loop's."""
+    graphs = [cycle(n) for n in range(3, 9)] + [
+        _seeded_graph(n, 500 + n) for n in range(9)]
+    for h in graphs:
+        for k in range(1, h.n + 3):
+            every_type_splits = all(splits_into(h, c, k - c) for c in range(k + 1))
+            assert every_type_splits or k < h.n, (h, k)
+            assert (enumerate_really_canonical_sequences(h, k) == []) == \
+                every_type_splits, (h, k)
+
+
 def _brute_minimal_hitting_sets(edges, universe):
-    hitting = [frozenset(s) for r in range(len(universe) + 1)
-               for s in itertools.combinations(universe, r)
-               if all(set(s) & e for e in edges)]
-    return {s for s in hitting if not any(t < s for t in hitting)}
+    """Each subset of the universe that hits every edge while no subset
+    with one element fewer does."""
+    def hits(s) -> bool:
+        return all(s & e for e in edges)
+
+    found = set()
+    for r in range(len(universe) + 1):
+        for s in itertools.combinations(universe, r):
+            s = frozenset(s)
+            if hits(s) and not any(hits(s - {x}) for x in s):
+                found.add(s)
+    return found
+
+
+def _hitting_sets_within_an_exact_budget(edges, types) -> tuple[list, int]:
+    """The yielded sets and the nodes used, after checking that a budget of
+    exactly those nodes yields the same sets and one node less raises."""
+    nodes = [0, 10 ** 6]
+    got = list(_minimal_hitting_sets(edges, nodes, types))
+    used = nodes[0]
+    assert list(_minimal_hitting_sets(edges, [0, used], types)) == got
+    with pytest.raises(BudgetExhausted,
+                       match=f"^sequence enumeration budget exhausted: {used - 1} "
+                             f"search nodes used of a budget of {used - 1}$"):
+        list(_minimal_hitting_sets(edges, [0, used - 1], types))
+    return got, used
 
 
 def test_minimal_hitting_sets_match_brute_force():
+    """With every slot of its own type there is no symmetry to break, and
+    every minimal hitting set is yielded once."""
     rng = random.Random(8)
     for trial in range(300):
-        universe = list(range(rng.randint(1, 8)))
+        universe = [(i, 0) for i in range(rng.randint(1, 8))]
+        types = tuple(str(i) for i in range(len(universe)))
         edges = [frozenset(e for e in universe if rng.random() < 0.4)
                  for _ in range(rng.randint(1, 7))]
         edges = [e for e in edges if e] or [frozenset(universe)]
-        nodes = [0, 10 ** 6]
-        got = list(_minimal_hitting_sets(edges, nodes))
+        got, _ = _hitting_sets_within_an_exact_budget(edges, types)
         assert len(got) == len(set(got)), edges          # each yielded once
         assert set(got) == _brute_minimal_hitting_sets(edges, universe), edges
-        # a budget of exactly the nodes used suffices, and one less raises
-        used = nodes[0]
-        assert list(_minimal_hitting_sets(edges, [0, used])) == got
-        with pytest.raises(BudgetExhausted,
-                           match=f"^sequence enumeration budget exhausted: {used - 1} "
-                                 f"search nodes used of a budget of {used - 1}$"):
-            list(_minimal_hitting_sets(edges, [0, used - 1]))
+
+
+def _slot_contents(hs, k: int) -> list[int]:
+    """J_i for each slot i: the classes the set puts in slot i, class p as
+    bit p."""
+    out = [0] * k
+    for i, p in hs:
+        out[i] |= 1 << p
+    return out
+
+
+def _type_preserving_permutations(types):
+    return [perm for perm in itertools.permutations(range(len(types)))
+            if all(types[perm[i]] == t for i, t in enumerate(types))]
+
+
+def test_minimal_hitting_sets_yield_each_slot_orbit_once():
+    """Random constraint families over (slot, class) pairs, closed under
+    permuting slots of one type: each orbit of the brute-force minimal
+    hitting sets is yielded exactly once, as its member whose same-type
+    slot contents are non-increasing.  Some of the families let the search
+    skip subtrees that the reference MMCS walks."""
+    rng = random.Random(29)
+    skipped = 0
+    for trial in range(250):
+        k = rng.randint(1, 4)
+        classes = rng.randint(1, 3 if k < 4 else 2)
+        types = tuple(rng.choice("CS") for _ in range(k))
+        perms = _type_preserving_permutations(types)
+        universe = [(i, p) for i in range(k) for p in range(classes)]
+        edges = set()
+        for _ in range(rng.randint(1, 4)):
+            e = frozenset(x for x in universe if rng.random() < 0.35) \
+                or frozenset([rng.choice(universe)])
+            edges.update(frozenset((perm[i], p) for i, p in e) for perm in perms)
+        edges = sorted(edges, key=lambda c: (len(c), sorted(c)))
+
+        def image(hs, perm):
+            return frozenset((perm[i], p) for i, p in hs)
+
+        def leads(hs) -> bool:
+            js = _slot_contents(hs, k)
+            return all(js[i] >= js[j] for i, j in itertools.combinations(range(k), 2)
+                       if types[i] == types[j])
+
+        brute = _brute_minimal_hitting_sets(edges, universe)
+        orbits = {frozenset(image(hs, perm) for perm in perms) for hs in brute}
+        got, used = _hitting_sets_within_an_exact_budget(edges, types)
+        assert len(got) == len(set(got)) == len(orbits), (types, edges)
+        for orbit in orbits:
+            leaders = [hs for hs in orbit if leads(hs)]
+            assert len(leaders) == 1
+            assert leaders[0] in got, (types, edges)
+        unpruned = [0, 10 ** 6]
+        list(_unpruned_minimal_hitting_sets(edges, unpruned))
+        assert used <= unpruned[0]
+        skipped += used < unpruned[0]
+    assert skipped >= 10
+
+
+def _unpruned_minimal_hitting_sets(constraints, nodes):
+    """The reference MMCS: the search of _minimal_hitting_sets without the
+    symmetry breaking, which yields every minimal hitting set once and so
+    every slot relabelling of a sequence."""
+    index: dict = {}
+    for ci, c in enumerate(constraints):
+        for e in c:
+            index[e] = index.get(e, 0) | 1 << ci
+    cand = set(index)
+
+    def solve(chosen: dict, uncov: int):
+        nodes[0] += 1
+        if not uncov:
+            yield frozenset(chosen)
+            return
+        ci = (uncov & -uncov).bit_length() - 1
+        branch = sorted(cand & constraints[ci])
+        cand.difference_update(branch)
+        for e in branch:
+            hits = index[e]
+            new_crit = {}
+            for v, crit in chosen.items():
+                crit &= ~hits
+                if not crit:
+                    break
+                new_crit[v] = crit
+            else:
+                new_crit[e] = hits & uncov
+                yield from solve(new_crit, uncov & ~hits)
+            cand.add(e)
+
+    yield from solve({}, (1 << len(constraints)) - 1)
+
+
+def _ids(hitting_sets, k: int) -> set:
+    """The sorted slots of sorted class ids of each hitting set: its
+    sequence up to slot order."""
+    out = set()
+    for hs in hitting_sets:
+        slots: list[list[int]] = [[] for _ in range(k)]
+        for i, p in hs:
+            slots[i].append(p)
+        out.add(tuple(sorted(tuple(sorted(js)) for js in slots)))
+    return out
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12, 14])
+def test_pruned_search_finds_the_sequences_of_the_unpruned_one(n):
+    """On C_n at k = wpn, for each slot type vector the enumeration
+    searches, the symmetry-broken MMCS finds the class ids of the reference
+    MMCS, in no more nodes."""
+    h = cycle(n)
+    k = n // 2 - 1
+    poset, multisets = wpnlab.sequences._tables(h, k)
+    searched = 0
+    for c in range(k + 1):
+        if splits_into(h, c, k - c):
+            continue
+        searched += 1
+        types = ("C",) * c + ("S",) * (k - c)
+        constraints = _build_constraints(poset, multisets, types)
+        pruned, unpruned = [0, 10 ** 7], [0, 10 ** 7]
+        got = _ids(_minimal_hitting_sets(constraints, pruned, types), k)
+        assert got == _ids(_unpruned_minimal_hitting_sets(constraints, unpruned), k)
+        assert pruned[0] <= unpruned[0], (n, types)
+    assert searched
 
 
 def test_case_one_is_the_theorem_sequence_with_cliques_widened():
