@@ -1,19 +1,25 @@
 """Exhaustive censuses of small graphs: H-free counts, theorem-certifiable
 counts, and girth-5 degree statistics.
 
-Both modes run one fold over (graph, weight, flip) triples: each graph is
-tested for an induced forbidden cycle, certified, cross-checked for
-soundness and counted with its weight.  Labeled mode feeds it every edge
-subset (n <= 7) with weight 1, sharded by edge-mask prefix for parallel
-and resumable runs.  A shard walks its low edge bits in Gray-code order,
-so each graph is the last one with one edge flipped: two XORs on a list
-of adjacency rows, and no validation; ``flip`` is the vertex mask of that
-edge's two ends.  Unlabeled-weighted mode feeds it one representative per
-isomorphism class (n <= 9) with weight n!/|Aut| and flip 0, which
-reproduces the labeled totals exactly; agreement of the two modes is
-itself a census invariant for n <= 7.  A labeled run has 2^min(6, C(n, 2))
-shards at any thread count; unlabeled runs are serial, so they take no
-manifest and only one thread (`--threads 1`).
+Both modes run one fold over (rows, weight, flip) triples, ``rows`` a
+graph's tuple of adjacency rows: each graph is tested for an induced
+forbidden cycle, certified, cross-checked for soundness and counted with
+its weight.  Labeled mode feeds it every edge subset (n <= 7) with weight
+1, sharded by edge-mask prefix for parallel and resumable runs.  A shard
+walks its low edge bits in Gray-code order, so each graph is the last one
+with one edge flipped: two XORs on a list of adjacency rows, and no
+validation; ``flip`` is the vertex mask of that edge's two ends.  The
+pairs (0, j) are the lowest edge bits, so the walk runs in blocks of
+2^(n-1) graphs that share G - 0, and the H-free test is split at vertex
+0: what G - 0 alone decides is computed once a block, and each graph of
+the block reads only vertex 0's row against it.  Unlabeled-weighted mode
+feeds it the rows of one representative per isomorphism class (n <= 9)
+with weight n!/|Aut| and flip 0, which reproduces the labeled totals
+exactly; agreement of the two modes is itself a census invariant for
+n <= 7.  A ``Graph`` is built only for a certificate search and for the
+validated cross-check.  A labeled run has 2^min(6, C(n, 2)) shards at any
+thread count; unlabeled runs are serial, so they take no manifest and
+only one thread (`--threads 1`).
 
 Under every theorem the fold keeps certificates as part masks in the
 theorem's slot order.  If the newest one held on the graph before, only
@@ -45,6 +51,7 @@ from .families import (
     _RECOGNIZERS,
     _is_cogirth5,
     _unlabeled_level,
+    _unlabeled_rows,
     heavy_degree_check,
     s_statistic,
 )
@@ -59,8 +66,8 @@ from .graphs import (
 )
 from .witnessing import find_certificate, theorem_cycle, theorem_sequence
 
-# A labeled C6 census at n = 7 (2^21 graphs) takes 8.5-9.2 CPU s; the
-# 2^28 graphs of n = 8 extrapolate to about 0.5-0.85 CPU hours, never run.
+# A labeled C6 census at n = 7 (2^21 graphs) takes 6.4-7.1 CPU s; the
+# 2^28 graphs of n = 8 extrapolate to about 0.4-0.8 CPU hours, never run.
 MAX_LABELED_N = 7
 # A whole n = 9 C6 census (274668 classes) took 50.4 CPU s and 167 MB on
 # one CPU of a 2-vCPU machine, most of it class generation; n = 10 has
@@ -114,56 +121,102 @@ def _edge_mask_rows(n: int, mask: int) -> list[int]:
 
 
 def _shard_graphs(n: int, prefix: int, low: int):
-    """(graph, flip) for every graph whose edge mask is prefix * 2^low + r,
-    r < 2^low, in Gray-code order of r: step t flips edge ctz(t), two row
-    XORs, and ``flip`` is the vertex mask of that edge's two ends (0 for
-    the first graph).  The graphs are built unchecked, since each row
-    tuple is symmetric and loop-free by construction."""
+    """(rows, flip) for every graph whose edge mask is prefix * 2^low + r,
+    r < 2^low, in Gray-code order of r: step t flips edge ctz(t), two XORs
+    on a row list, and ``flip`` is the vertex mask of that edge's two ends
+    (0 for the first graph).  Each graph is its tuple of adjacency rows,
+    symmetric and loop-free by construction, so none is validated and no
+    ``Graph`` is built.
+
+    The pairs (0, j) are the n - 1 lowest edge bits, so the walk runs in
+    blocks of 2^(n-1) graphs that differ only in vertex 0's row: G - 0
+    changes exactly at the steps whose flip avoids vertex 0."""
     pairs = _pair_order(n)
     rows = _edge_mask_rows(n, prefix << low)
-    trusted = Graph._trusted
-    yield trusted(n, tuple(rows)), 0
+    yield tuple(rows), 0
     for t in range(1, 1 << low):
         i, j = pairs[(t & -t).bit_length() - 1]
         rows[i] ^= 1 << j
         rows[j] ^= 1 << i
-        yield trusted(n, tuple(rows)), 1 << i | 1 << j
+        yield tuple(rows), 1 << i | 1 << j
 
 
 # -- fast per-graph predicates -------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _subset_masks(n: int, m: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
-    """(mask, vertex tuple) for every m-subset of range(n)."""
+def _subsets_without_0(n: int, k: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(mask, vertex tuple) for every k-subset of range(1, n)."""
     return tuple((sum(1 << v for v in combo), combo)
-                 for combo in itertools.combinations(range(n), m))
+                 for combo in itertools.combinations(range(1, n), k))
 
 
-def has_induced_cycle(g: Graph, m: int) -> bool:
-    """Induced C_m on m chosen vertices = 2-regular and connected there."""
-    if m > g.n:
-        return False
-    adj = g.adj
-    for mask, verts in _subset_masks(g.n, m):
+def _connected(adj, mask: int, start: int) -> bool:
+    """The subgraph induced on ``mask`` is connected (``start`` in it)."""
+    seen = 1 << start
+    frontier = adj[start] & mask
+    while frontier:
+        seen |= frontier
+        nxt = 0
+        for v in bits(frontier):
+            nxt |= adj[v] & mask
+        frontier = nxt & ~seen
+    return seen == mask
+
+
+def _cycle_split(adj, m: int):
+    """The induced-C_m test split at vertex 0, read from the rows of G - 0
+    alone (adjacency to vertex 0 is never read; m >= 3).
+
+    An induced C_m avoids vertex 0, or is vertex 0 joined to the two ends,
+    and to no other vertex, of an induced path on m - 1 vertices of G - 0.
+    So this yields (0, 0) and stops if some m-set avoiding vertex 0
+    induces C_m, and else yields (T, ends) for each (m-1)-set T avoiding
+    vertex 0 that induces a path, ``ends`` the mask of its two end
+    vertices.  G has an induced C_m exactly when ``adj[0] & T == ends``
+    for some yielded pair, which (0, 0) meets on every row."""
+    n = len(adj)
+    for mask, verts in _subsets_without_0(n, m):
         for v in verts:
             if (adj[v] & mask).bit_count() != 2:
                 break
         else:
-            # 2-regular on m vertices is a disjoint union of cycles;
-            # connected iff a walk from any start covers all m vertices
-            start = verts[0]
-            seen = 1 << start
-            frontier = adj[start] & mask
-            while frontier:
-                seen |= frontier
-                nxt = 0
-                for v in bits(frontier):
-                    nxt |= adj[v] & mask
-                frontier = nxt & ~seen
-            if seen == mask:
-                return True
+            # 2-regular on m vertices is a disjoint union of cycles
+            if _connected(adj, mask, verts[0]):
+                yield 0, 0
+                return
+    for mask, verts in _subsets_without_0(n, m - 1):
+        ends = 0
+        for v in verts:
+            d = (adj[v] & mask).bit_count()
+            if d == 1:
+                ends |= 1 << v
+            elif d != 2:
+                break
+        else:
+            # degrees 1, 1, 2, ..., 2 make one path beside some cycles
+            if ends.bit_count() == 2 and \
+                    _connected(adj, mask, ends.bit_length() - 1):
+                yield mask, ends
+
+
+def _cycle_hit(adj, m: int) -> bool:
+    """``_cycle_split`` evaluated for the graph of rows ``adj``, stopping
+    at the first pair that vertex 0's row meets."""
+    if m > len(adj):
+        return False
+    a0 = adj[0]
+    for t, ends in _cycle_split(adj, m):
+        if a0 & t == ends:
+            return True
     return False
+
+
+def has_induced_cycle(g: Graph, m: int) -> bool:
+    """g has an induced C_m, m >= 3 (see ``_cycle_split``)."""
+    if m < 3:
+        raise ValueError(f"an induced cycle needs m >= 3 vertices, got {m}")
+    return _cycle_hit(g.adj, m)
 
 
 def c6_certificate(g: Graph) -> tuple[int, int] | None:
@@ -251,9 +304,17 @@ def _holds(adj, hint) -> bool:
 
 
 def _fold(config: CensusConfig, stream) -> tuple[int, int, int]:
-    """Weighted (total, hfree, certifiable) over (graph, weight, flip)
-    triples.  A nonzero ``flip`` is the vertex mask of the one pair whose
-    adjacency differs from the graph before; 0 says nothing of it.
+    """Weighted (total, hfree, certifiable) over (rows, weight, flip)
+    triples, ``rows`` a graph's tuple of adjacency rows.  A nonzero
+    ``flip`` is the vertex mask of the one pair whose adjacency differs
+    from the graph before; 0 says nothing of it.
+
+    The H-free test is split at vertex 0 (``_cycle_split``): a flip that
+    holds vertex 0 leaves G - 0 as it was, so the split of the graph
+    before is reused and only vertex 0's row is read against it; any other
+    nonzero flip builds the split afresh.  A graph with flip 0 (the first
+    of a shard, and every unlabeled class) is tested alone, so no split is
+    built that no later graph could reuse.
 
     Certificates are kept as (family recognizer, part mask) pairs, last
     slot first: cliques and stable sets fail fastest.  If the newest one
@@ -262,43 +323,57 @@ def _fold(config: CensusConfig, stream) -> tuple[int, int, int]:
     did, and a recognizer reads only its part's rows inside the part.  If
     that fails, or there is no flip, the ``CERTIFICATES_KEPT`` most
     recently used certificates are checked whole, newest first; else the
-    theorem's search runs, which gives part masks in the theorem's slot
-    order.  The soundness cross-check runs on a validated copy of every
-    certifiable graph when n <= 6, else of every 1024th one visited,
-    counted without weights."""
+    theorem's search runs on a ``Graph`` of the rows, which gives part
+    masks in the theorem's slot order.  The soundness cross-check runs on
+    a validated graph of every certifiable row tuple when n <= 6, else of
+    every 1024th one visited, counted without weights."""
+    n = config.n
     forb = theorem_cycle(config.theorem)
+    m = forb.n
     seq = theorem_sequence(config.theorem)
     recognizers = [_RECOGNIZERS[f.name] for f in seq.parts]
     # c6 keeps its maximal-stable-set search, the faster one
     search = c6_certificate if config.theorem == "c6" else \
         partial(find_certificate, seq=seq)
-    exhaustive_check = config.n <= 6
+    exhaustive_check = n <= 6
     total = hfree = certifiable = checked = 0
+    split = None    # _cycle_split of the current G - 0
     kept = []       # most recently used first
     held = False    # kept[0] holds on the graph before
-    for g, w, flip in stream:
+    for rows, w, flip in stream:
         total += w
-        if has_induced_cycle(g, forb.n):
+        if flip:
+            if split is None or not flip & 1:
+                split = tuple(_cycle_split(rows, m))
+            a0 = rows[0]
+            hit = False
+            for t, ends in split:
+                if a0 & t == ends:
+                    hit = True
+                    break
+        else:
+            split = None
+            hit = _cycle_hit(rows, m)
+        if hit:
             held = False
             continue
         hfree += w
-        adj = g.adj
         first = 0
         if held and flip:
             for recognize, mask in kept[0]:
                 if mask & flip == flip:
-                    held = recognize(adj, mask)
+                    held = recognize(rows, mask)
                     first = 1
                     break
         else:
             held = False
         if not held:
             for k in range(first, len(kept)):
-                if _holds(adj, kept[k]):
+                if _holds(rows, kept[k]):
                     kept.insert(0, kept.pop(k))
                     break
             else:
-                parts = search(g)
+                parts = search(Graph._trusted(n, rows))
                 if parts is None:
                     continue
                 kept.insert(0, list(zip(recognizers, parts))[::-1])
@@ -307,7 +382,8 @@ def _fold(config: CensusConfig, stream) -> tuple[int, int, int]:
         certifiable += w
         checked += 1
         if exhaustive_check or checked % 1024 == 1:
-            if contains_induced(Graph(g.n, g.adj), forb):
+            g = Graph(n, rows)
+            if contains_induced(g, forb):
                 raise RuntimeError(
                     "soundness cross-check failed: certifiable graph "
                     f"{emit_graph6(g)} contains the forbidden cycle")
@@ -322,7 +398,7 @@ def _shard_bits(config: CensusConfig) -> int:
 def _count_shard(config: CensusConfig, prefix: int) -> dict:
     """Exact counts over one edge-mask-prefix shard of the labeled census."""
     total, hfree, certifiable = _fold(
-        config, ((g, 1, flip) for g, flip in
+        config, ((rows, 1, flip) for rows, flip in
                  _shard_graphs(config.n, prefix, _shard_bits(config))))
     return {"prefix": prefix, "done": True,
             "total": total, "hfree": hfree, "certifiable": certifiable}
@@ -397,7 +473,7 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
         shard_prefix_bits=min(6, n * (n - 1) // 2) if mode == "labeled" else 0)
     if mode == "unlabeled":
         total, hfree, certifiable = _fold(
-            config, ((g, w, 0) for g, w in _unlabeled_level(n)))
+            config, ((rows, w, 0) for rows, w in _unlabeled_rows(n)))
         return CensusReport(config=config, total=total, hfree=hfree,
                             certifiable=certifiable)
 

@@ -273,8 +273,10 @@ def _urn_weight_table(n: int) -> tuple[tuple[int, ...], int]:
     for u in range(len(powers), 0, -1):
         weights.append(powers[u - 1] * scale)
         scale *= u
-    weights.reverse()
+    # folded from u = T, whose weight T^n is the shortest: from u = 1 the
+    # running gcd starts at T! and stays thousands of bits long
     g = math.gcd(*weights)
+    weights.reverse()
     cum = tuple(itertools.accumulate(w // g for w in weights))
     return cum, cum[-1]
 

@@ -305,14 +305,19 @@ def _unlabeled_up_to(nmax: int) -> list[Canon]:
     return [c for level in _levels[:nmax + 1] for c in level]
 
 
-def _unlabeled_level(n: int):
-    """Each class on n vertices as (representative, n!/|Aut|), the
-    representative built from the class's rows as it is read.  The weight
+def _unlabeled_rows(n: int):
+    """Each class on n vertices as (canonical rows, n!/|Aut|).  The weight
     comes from the class's search result, so no representative is searched
     again."""
     _unlabeled_up_to(n)
     fact = math.factorial(n)
-    return ((Graph._trusted(n, c.rows), fact // c.aut) for c in _levels[n])
+    return ((c.rows, fact // c.aut) for c in _levels[n])
+
+
+def _unlabeled_level(n: int):
+    """Each class on n vertices as (representative, n!/|Aut|), the
+    representative built from the class's rows as it is read."""
+    return ((Graph._trusted(n, rows), w) for rows, w in _unlabeled_rows(n))
 
 
 @lru_cache(maxsize=None)

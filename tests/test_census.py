@@ -20,6 +20,7 @@ from wpnlab.census import (
     girth5_census,
     has_induced_cycle,
     _count_shard,
+    _cycle_split,
     _fold,
     _pair_order,
     _shard_graphs,
@@ -33,6 +34,7 @@ from wpnlab.graphs import (
     contains_induced,
     cycle,
     emit_graph6,
+    is_isomorphic,
     parse_graph6,
     path,
 )
@@ -132,9 +134,8 @@ def test_unlabeled_census_at_eight_matches_atlas_extensions():
     def extensions():
         for rows, w in parents:
             for nb in range(1 << 7):
-                yield Graph._trusted(8, tuple(
-                    row | (nb >> i & 1) << 7 for i, row in enumerate(rows))
-                    + (nb,)), w, 0
+                yield tuple(row | (nb >> i & 1) << 7
+                            for i, row in enumerate(rows)) + (nb,), w, 0
 
     for theorem, m in (("c6", 6), ("c8", 8), ("c10", 10)):
         config = CensusConfig(n=8, forbidden_g6=emit_graph6(cycle(m)),
@@ -144,15 +145,70 @@ def test_unlabeled_census_at_eight_matches_atlas_extensions():
             (report.total, report.hfree, report.certifiable)
 
 
+def _split_verdict(adj, m: int) -> bool:
+    return any(adj[0] & t == ends for t, ends in _cycle_split(adj, m))
+
+
 def test_has_induced_cycle_matches_generic_check():
-    for mask in range(1 << 10):
-        g = graph_from_edge_mask(5, mask)
-        for m in (4, 5):
-            assert has_induced_cycle(g, m) == contains_induced(g, cycle(m))
-    # sampled at n=6
-    for mask in range(0, 1 << 15, 97):
-        g = graph_from_edge_mask(6, mask)
-        assert has_induced_cycle(g, 6) == contains_induced(g, cycle(6))
+    """On every labeled graph with n <= 6 and every m from 3 to 7, the
+    split's verdict and has_induced_cycle are contains_induced's."""
+    cycles = {m: cycle(m) for m in range(3, 8)}
+    for n in range(1, 7):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = graph_from_edge_mask(n, mask)
+            for m, c in cycles.items():
+                oracle = contains_induced(g, c)
+                assert has_induced_cycle(g, m) == oracle, (n, mask, m)
+                assert _split_verdict(g.adj, m) == oracle, (n, mask, m)
+    assert not has_induced_cycle(Graph(0, ()), 3)
+
+
+def test_has_induced_cycle_rejects_m_below_three():
+    for m in (-1, 0, 1, 2):
+        with pytest.raises(ValueError, match="m >= 3"):
+            has_induced_cycle(clique(4), m)
+
+
+def _split_by_brute_force(g: Graph, m: int) -> list:
+    """[(0, 0)] if some m-set avoiding vertex 0 induces C_m; else every
+    (T, ends) with T an (m-1)-set avoiding vertex 0 that induces a path,
+    in combination order, by isomorphism with C_m and P_{m-1}."""
+    def mask(vs):
+        return sum(1 << v for v in vs)
+
+    for vs in itertools.combinations(range(1, g.n), m):
+        if is_isomorphic(g.induced(mask(vs)), cycle(m)):
+            return [(0, 0)]
+    pairs = []
+    for vs in itertools.combinations(range(1, g.n), m - 1):
+        t = mask(vs)
+        if is_isomorphic(g.induced(t), path(m - 1)):
+            ends = mask(v for v in vs if (g.adj[v] & t).bit_count() < 2)
+            pairs.append((t, ends))
+    return pairs
+
+
+def test_cycle_split_lists_the_brute_force_pairs():
+    """The split of every labeled graph with n <= 6, m from 3 to 7, is the
+    brute-force list of G - 0, whatever vertex 0's row."""
+    oracle = {}
+    for n in range(1, 7):
+        for mask in range(1 << n * (n - 1) // 2):
+            g = graph_from_edge_mask(n, mask)
+            without_0 = g.induced(g.vertex_mask() - 1)
+            for m in range(3, 8):
+                key = (without_0.adj, m)
+                if key not in oracle:
+                    oracle[key] = _split_by_brute_force(g, m)
+                assert list(_cycle_split(g.adj, m)) == oracle[key], \
+                    (n, mask, m)
+    # past n = 6: C6 on 0..5 beside P5 on 6..10 has two P5s avoiding
+    # vertex 0, and with vertex 0 put apart the split ends at the C6
+    g = cycle(6).disjoint_union(path(5))
+    assert list(_cycle_split(g.adj, 6)) == [(0b111110, 0b100010),
+                                            (0b11111000000, 0b10001000000)]
+    g = Graph(1, (0,)).disjoint_union(g)
+    assert list(_cycle_split(g.adj, 6)) == [(0, 0)]
 
 
 def test_c6_certificate_matches_generic_certificate_search():
@@ -196,7 +252,7 @@ def test_stale_certificates_never_change_a_fold_count(theorem):
             assert 0 < certifiable < hfree
         for _ in range(5 if n < 6 else 1 if n == 6 else 2):
             rng.shuffle(weighted)
-            assert _fold(config, [(g, w, 0) for g, w in weighted]) == (
+            assert _fold(config, [(g.adj, w, 0) for g, w in weighted]) == (
                 sum(w for _, w in weighted), hfree, certifiable)
 
 
@@ -300,9 +356,9 @@ def _config(n: int, theorem: str, prefix_bits: int) -> CensusConfig:
                         shard_prefix_bits=prefix_bits)
 
 
-def _edge_mask(g: Graph) -> int:
-    return sum(1 << e for e, (i, j) in enumerate(_pair_order(g.n))
-               if g.adj[i] >> j & 1)
+def _edge_mask(rows) -> int:
+    return sum(1 << e for e, (i, j) in enumerate(_pair_order(len(rows)))
+               if rows[i] >> j & 1)
 
 
 def _shard_masks(config: CensusConfig, prefix: int) -> range:
@@ -311,26 +367,27 @@ def _shard_masks(config: CensusConfig, prefix: int) -> range:
 
 
 def _check_gray_walk(config: CensusConfig, prefix: int, plain: tuple) -> None:
-    """The walk visits each mask of the shard once, as the validated graph
-    of that mask, with the vertex mask of the one pair flipped since the
-    graph before (0 first), and its counts are ``plain``, the counts in
-    mask order."""
+    """The walk visits each mask of the shard once, as the rows of the
+    validated graph of that mask, with the vertex mask of the one pair
+    flipped since the graph before (0 first), and its counts are
+    ``plain``, the counts in mask order."""
+    n = config.n
     masks = _shard_masks(config, prefix)
     low = len(masks).bit_length() - 1
-    walked = list(_shard_graphs(config.n, prefix, low))
-    assert sorted(_edge_mask(g) for g, _ in walked) == list(masks)
+    walked = list(_shard_graphs(n, prefix, low))
+    assert sorted(_edge_mask(rows) for rows, _ in walked) == list(masks)
     before = None
-    for g, flip in walked:
-        assert g == Graph(g.n, g.adj)
-        assert g == graph_from_edge_mask(g.n, _edge_mask(g))
+    for rows, flip in walked:
+        assert type(rows) is tuple and len(rows) == n
+        assert Graph(n, rows) == graph_from_edge_mask(n, _edge_mask(rows))
         if before is None:
             assert flip == 0
         else:
-            changed = _edge_mask(g) ^ _edge_mask(before)
+            changed = _edge_mask(rows) ^ _edge_mask(before)
             assert changed.bit_count() == 1
-            i, j = _pair_order(g.n)[changed.bit_length() - 1]
+            i, j = _pair_order(n)[changed.bit_length() - 1]
             assert flip == 1 << i | 1 << j
-        before = g
+        before = rows
     shard = _count_shard(config, prefix)
     assert (shard["total"], shard["hfree"], shard["certifiable"]) == plain
 
@@ -340,7 +397,7 @@ def _check_gray_walks(theorem: str, n: int) -> None:
     counts of its masks, each folded alone (n <= 6 cross-checks every
     certifiable graph anyway)."""
     whole = _config(n, theorem, 0)
-    per_mask = [_fold(whole, [(graph_from_edge_mask(n, m), 1, 0)])
+    per_mask = [_fold(whole, [(graph_from_edge_mask(n, m).adj, 1, 0)])
                 for m in range(1 << n * (n - 1) // 2)]
     for prefix_bits in (0, 3, 6):
         if prefix_bits <= n * (n - 1) // 2:
@@ -355,11 +412,17 @@ def _check_gray_walks(theorem: str, n: int) -> None:
 def test_gray_walk_visits_each_shard_mask_once_with_plain_counts():
     for n in range(1, 7):
         _check_gray_walks("c6", n)
-    # the P3 and P4 shards that the benchmark computes afresh
+    # the P3 and P4 shards that the benchmark computes afresh, against
+    # the graph of each mask tested and certified alone
     config = _config(7, "c6", 6)
-    for prefix in (3, 19):
-        plain = _fold(config, ((graph_from_edge_mask(7, m), 1, 0)
-                               for m in _shard_masks(config, prefix)))
+    for prefix, counts in ((3, (32768, 32168, 30612)),
+                           (19, (32768, 32156, 31033))):
+        graphs = [graph_from_edge_mask(7, m)
+                  for m in _shard_masks(config, prefix)]
+        hfree = [g for g in graphs if not has_induced_cycle(g, 6)]
+        plain = (len(graphs), len(hfree),
+                 sum(c6_certificate(g) is not None for g in hfree))
+        assert plain == counts
         _check_gray_walk(config, prefix, plain)
 
 
@@ -381,10 +444,10 @@ def test_gray_walk_reaches_the_uncertifiable_c8_classes_at_eight():
     config = CensusConfig(n=8, forbidden_g6=emit_graph6(cycle(8)),
                           theorem="c8", mode="unlabeled")
     for g6 in ("G`?G?C", "GWCOOK"):
-        prefix = _edge_mask(parse_graph6(g6)) >> 8
-        walk = _fold(config, ((g, 1, flip) for g, flip in
+        prefix = _edge_mask(parse_graph6(g6).adj) >> 8
+        walk = _fold(config, ((rows, 1, flip) for rows, flip in
                               _shard_graphs(8, prefix, 8)))
-        plain = _fold(config, ((graph_from_edge_mask(8, prefix << 8 | r),
+        plain = _fold(config, ((graph_from_edge_mask(8, prefix << 8 | r).adj,
                                 1, 0) for r in range(1 << 8)))
         assert walk == plain and plain[2] < plain[1]
 
