@@ -23,6 +23,9 @@ def main() -> None:
     ap.add_argument("--samples", type=int, default=20000)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args()
+    if args.samples < 2:  # the standard error needs two samples
+        ap.exit(2, f"{ap.prog}: error: --samples must be at least 2, "
+                   f"got {args.samples}\n")
 
     try:
         sampler = UniformPartitionSampler(args.n, args.seed)

@@ -11,7 +11,11 @@ import time
 from collections import Counter
 
 from wpnlab.graphs import cycle, emit_graph6
-from wpnlab.sequences import classify_sequence, enumerate_really_canonical_sequences
+from wpnlab.sequences import (
+    MAX_SEQUENCE_VERTICES,
+    classify_sequence,
+    enumerate_really_canonical_sequences,
+)
 from wpnlab.witnessing import wpn
 
 
@@ -20,6 +24,10 @@ def main() -> None:
     ap.add_argument("--max-cycle", type=int, default=12)
     ap.add_argument("--show-sequences", action="store_true")
     args = ap.parse_args()
+    # checked before the first row, so a run past the cap prints none
+    if args.max_cycle > MAX_SEQUENCE_VERTICES:
+        ap.error(f"--max-cycle is at most {MAX_SEQUENCE_VERTICES}, the "
+                 f"sequences cap, got {args.max_cycle}")
 
     for n in range(6, args.max_cycle + 1, 2):
         g = cycle(n)

@@ -11,11 +11,12 @@ with one edge flipped: two XORs on a list of adjacency rows, and no
 validation; ``flip`` is the vertex mask of that edge's two ends.  The
 pairs (0, j) are the lowest edge bits, so the walk runs in blocks of
 2^(n-1) graphs that share G - 0, and the H-free test is split at vertex
-0: what G - 0 alone decides is computed once a block, and each graph of
-the block reads only vertex 0's row against it.  Unlabeled-weighted mode
-feeds it the rows of one representative per isomorphism class (n <= 9)
-with weight n!/|Aut| and flip 0, which reproduces the labeled totals
-exactly; agreement of the two modes is itself a census invariant for
+0: what G - 0 alone decides is computed whenever G - 0 changes (once a
+block), and every graph reads only vertex 0's row against it.
+Unlabeled-weighted mode feeds it the canonical rows of each isomorphism
+class (n <= 9, ``families._classes``) with weight n!/|Aut| and flip 0, so
+each class computes its own split; this reproduces the labeled totals
+exactly, and agreement of the two modes is itself a census invariant for
 n <= 7.  A ``Graph`` is built only for a certificate search and for the
 validated cross-check.  A labeled run has 2^min(6, C(n, 2)) shards at any
 thread count; unlabeled runs are serial, so they take no manifest and
@@ -39,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import math
 import multiprocessing
 import os
 from dataclasses import dataclass, field
@@ -49,9 +51,8 @@ from time import monotonic
 
 from .families import (
     _RECOGNIZERS,
+    _classes,
     _is_cogirth5,
-    _unlabeled_level,
-    _unlabeled_rows,
     heavy_degree_check,
     s_statistic,
 )
@@ -200,23 +201,12 @@ def _cycle_split(adj, m: int):
                 yield mask, ends
 
 
-def _cycle_hit(adj, m: int) -> bool:
-    """``_cycle_split`` evaluated for the graph of rows ``adj``, stopping
-    at the first pair that vertex 0's row meets."""
-    if m > len(adj):
-        return False
-    a0 = adj[0]
-    for t, ends in _cycle_split(adj, m):
-        if a0 & t == ends:
-            return True
-    return False
-
-
 def has_induced_cycle(g: Graph, m: int) -> bool:
     """g has an induced C_m, m >= 3 (see ``_cycle_split``)."""
     if m < 3:
         raise ValueError(f"an induced cycle needs m >= 3 vertices, got {m}")
-    return _cycle_hit(g.adj, m)
+    # the split of a graph on no vertex is empty, so adj[0] is never read
+    return any(g.adj[0] & t == ends for t, ends in _cycle_split(g.adj, m))
 
 
 def c6_certificate(g: Graph) -> tuple[int, int] | None:
@@ -307,14 +297,13 @@ def _fold(config: CensusConfig, stream) -> tuple[int, int, int]:
     """Weighted (total, hfree, certifiable) over (rows, weight, flip)
     triples, ``rows`` a graph's tuple of adjacency rows.  A nonzero
     ``flip`` is the vertex mask of the one pair whose adjacency differs
-    from the graph before; 0 says nothing of it.
+    from the graph before; 0 says nothing of it, and is the first flip.
 
     The H-free test is split at vertex 0 (``_cycle_split``): a flip that
     holds vertex 0 leaves G - 0 as it was, so the split of the graph
-    before is reused and only vertex 0's row is read against it; any other
-    nonzero flip builds the split afresh.  A graph with flip 0 (the first
-    of a shard, and every unlabeled class) is tested alone, so no split is
-    built that no later graph could reuse.
+    before is reused; any other flip, 0 included (the first graph of a
+    shard, and every unlabeled class), builds the split afresh.  Every
+    graph then reads only vertex 0's row against the split.
 
     Certificates are kept as (family recognizer, part mask) pairs, last
     slot first: cliques and stable sets fail fastest.  If the newest one
@@ -342,18 +331,14 @@ def _fold(config: CensusConfig, stream) -> tuple[int, int, int]:
     held = False    # kept[0] holds on the graph before
     for rows, w, flip in stream:
         total += w
-        if flip:
-            if split is None or not flip & 1:
-                split = tuple(_cycle_split(rows, m))
-            a0 = rows[0]
-            hit = False
-            for t, ends in split:
-                if a0 & t == ends:
-                    hit = True
-                    break
-        else:
-            split = None
-            hit = _cycle_hit(rows, m)
+        if not flip & 1:
+            split = tuple(_cycle_split(rows, m))
+        a0 = rows[0]
+        hit = False
+        for t, ends in split:
+            if a0 & t == ends:
+                hit = True
+                break
         if hit:
             held = False
             continue
@@ -402,10 +387,6 @@ def _count_shard(config: CensusConfig, prefix: int) -> dict:
                  _shard_graphs(config.n, prefix, _shard_bits(config))))
     return {"prefix": prefix, "done": True,
             "total": total, "hfree": hfree, "certifiable": certifiable}
-
-
-def _count_task(task: tuple[CensusConfig, int]) -> dict:
-    return _count_shard(*task)
 
 
 def _merge_report(config: CensusConfig, shard_counts: list[dict]) -> CensusReport:
@@ -472,8 +453,9 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
         n=n, forbidden_g6=emit_graph6(forbidden), theorem=theorem, mode=mode,
         shard_prefix_bits=min(6, n * (n - 1) // 2) if mode == "labeled" else 0)
     if mode == "unlabeled":
+        fact = math.factorial(n)
         total, hfree, certifiable = _fold(
-            config, ((rows, w, 0) for rows, w in _unlabeled_rows(n)))
+            config, ((c.rows, fact // c.aut, 0) for c in _classes(n)))
         return CensusReport(config=config, total=total, hfree=hfree,
                             certifiable=certifiable)
 
@@ -481,14 +463,14 @@ def census(n: int, forbidden: Graph, theorem: str, mode: str = "labeled",
     if manifest_path and os.path.exists(manifest_path):
         done = {s["prefix"]: s for s in _load_manifest(manifest_path, config)
                 if s["done"]}
-    tasks = [(config, p) for p in range(1 << config.shard_prefix_bits)
-             if p not in done]
+    pending = [p for p in range(1 << config.shard_prefix_bits) if p not in done]
     shards = list(done.values())
     if manifest_path:  # an unwritable path fails before any shard is counted
         _write_manifest(manifest_path, config, shards)
-    workers = min(threads, len(tasks))
+    workers = min(threads, len(pending))
     pool = multiprocessing.Pool(workers) if workers > 1 else None
-    fresh = pool.imap_unordered(_count_task, tasks) if pool else map(_count_task, tasks)
+    task = partial(_count_shard, config)
+    fresh = pool.imap_unordered(task, pending) if pool else map(task, pending)
     written = monotonic()
     try:
         # A killed run loses only the shards of its last second and those in
@@ -541,12 +523,14 @@ def girth5_census(n: int, mode: str = "labeled") -> Girth5Report:
     graphs = heavy_ok = 0
     s_dist: dict[int, int] = {}
     deg_dist: dict[int, int] = {}
-    for g, orbit in _unlabeled_level(n):
+    fact = math.factorial(n)
+    for c in _classes(n):
+        g = Graph._trusted(n, c.rows)
         # girth >= 5 iff no C3 and no C4 is induced: a C4 with a chord
         # holds a triangle
         if has_induced_cycle(g, 3) or has_induced_cycle(g, 4):
             continue
-        w = orbit if mode == "labeled" else 1
+        w = fact // c.aut if mode == "labeled" else 1
         graphs += w
         if heavy_degree_check(g):
             heavy_ok += w

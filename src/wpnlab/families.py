@@ -12,7 +12,6 @@ by brute force in the tests.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -244,18 +243,12 @@ def _subset_orbits(m: int, gens) -> list[int]:
     return _orbits(1 << m, images)
 
 
-# _levels[n]: the search result of each class on n vertices, in the
-# labelling of its representative (whose rows are the result's rows),
-# generated once per process.  It is the only store of classes.
-_levels: list[list[Canon]] = []
-
-
-def _unlabeled_up_to(nmax: int) -> list[Canon]:
-    """The search result of every isomorphism class on 0..nmax vertices,
-    in level order, each level sorted by canonical rows.  The list holds
-    references into ``_levels``, and no graph is built.  Levels not yet
-    generated in this process are generated from the last one, so no level
-    is built twice.
+@lru_cache(maxsize=None)
+def _classes(n: int) -> tuple[Canon, ...]:
+    """The search result of every isomorphism class on n vertices, in the
+    labelling of its representative (whose rows are the result's rows),
+    sorted by canonical rows.  No graph is kept.  A level is built from
+    the level below, each once per process.
 
     Classes are generated by canonical augmentation (McKay, *Isomorph-free
     exhaustive generation*, J. Algorithms 26, 1998).  A class on n vertices
@@ -272,52 +265,35 @@ def _unlabeled_up_to(nmax: int) -> list[Canon]:
     keeps only its search result, carried to its representative's
     labelling, and ``_canonical_copy`` validates those rows once.
     """
-    if not _levels:
-        _levels.append([_canonical_copy(_canon_search(Graph(0, ())))])
-    for n in range(len(_levels), nmax + 1):
-        kept = []
-        for pc in _levels[-1]:
-            pdeg = [row.bit_count() for row in pc.rows]
-            for nb, least in enumerate(_subset_orbits(n - 1, pc.gens)):
-                if least != nb:
+    if n == 0:
+        return (_canonical_copy(_canon_search(Graph(0, ()))),)
+    kept = []
+    for pc in _classes(n - 1):
+        pdeg = [row.bit_count() for row in pc.rows]
+        for nb, least in enumerate(_subset_orbits(n - 1, pc.gens)):
+            if least != nb:
+                continue
+            deg = [d + (nb >> i & 1) for i, d in enumerate(pdeg)]
+            deg.append(nb.bit_count())
+            if deg[-1] < max(deg):
+                continue
+            rows = tuple(row | (nb >> i & 1) << (n - 1)
+                         for i, row in enumerate(pc.rows)) + (nb,)
+            inv = [(deg[v], sorted(deg[u] for u in bits(rows[v])))
+                   for v in range(n)]
+            top = max(inv)
+            if inv[-1] != top:
+                continue
+            c = _canon_search(Graph._trusted(n, rows))
+            u = min((v for v in range(n) if inv[v] == top),
+                    key=c.lab.__getitem__)
+            if u != n - 1:
+                orbit = _orbits(n, c.gens)
+                if orbit[u] != orbit[n - 1]:
                     continue
-                deg = [d + (nb >> i & 1) for i, d in enumerate(pdeg)]
-                deg.append(nb.bit_count())
-                if deg[-1] < max(deg):
-                    continue
-                rows = tuple(row | (nb >> i & 1) << (n - 1)
-                             for i, row in enumerate(pc.rows)) + (nb,)
-                inv = [(deg[v], sorted(deg[u] for u in bits(rows[v])))
-                       for v in range(n)]
-                top = max(inv)
-                if inv[-1] != top:
-                    continue
-                c = _canon_search(Graph._trusted(n, rows))
-                u = min((v for v in range(n) if inv[v] == top),
-                        key=c.lab.__getitem__)
-                if u != n - 1:
-                    orbit = _orbits(n, c.gens)
-                    if orbit[u] != orbit[n - 1]:
-                        continue
-                kept.append(_canonical_copy(c))
-        kept.sort(key=lambda c: c.rows)
-        _levels.append(kept)
-    return [c for level in _levels[:nmax + 1] for c in level]
-
-
-def _unlabeled_rows(n: int):
-    """Each class on n vertices as (canonical rows, n!/|Aut|).  The weight
-    comes from the class's search result, so no representative is searched
-    again."""
-    _unlabeled_up_to(n)
-    fact = math.factorial(n)
-    return ((c.rows, fact // c.aut) for c in _levels[n])
-
-
-def _unlabeled_level(n: int):
-    """Each class on n vertices as (representative, n!/|Aut|), the
-    representative built from the class's rows as it is read."""
-    return ((Graph._trusted(n, rows), w) for rows, w in _unlabeled_rows(n))
+            kept.append(_canonical_copy(c))
+    kept.sort(key=lambda c: c.rows)
+    return tuple(kept)
 
 
 @lru_cache(maxsize=None)

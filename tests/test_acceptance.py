@@ -28,7 +28,7 @@ from wpnlab.counting import (
     iter_set_partitions,
     labeled_cograph_count,
 )
-from wpnlab.families import FamilySpec, _unlabeled_level, member, s_statistic
+from wpnlab.families import FamilySpec, member, s_statistic
 from wpnlab.graphs import clique, cycle
 from wpnlab.sequences import classify_sequence, enumerate_really_canonical_sequences
 from wpnlab.families import is_restricted
@@ -42,6 +42,7 @@ from wpnlab.witnessing import (
 
 from .test_census import _nx_girth, graph_from_edge_mask
 from .test_families import _s_oracle
+from .test_graphs import representatives
 
 CLIQUE = FamilySpec.named("clique")
 
@@ -171,7 +172,7 @@ def test_criterion_09_girth5_heavy_degree_and_s_statistic():
         assert rep.heavy_check_passed == rep.graphs, n
     assert s_statistic(cycle(5)) == 1
     for n in range(1, 9):
-        for g, _ in _unlabeled_level(n):
+        for g in representatives(n):
             if _nx_girth(g) < 5:
                 continue
             assert s_statistic(g) == _s_oracle(g)

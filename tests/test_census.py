@@ -26,7 +26,7 @@ from wpnlab.census import (
     _shard_graphs,
     _write_manifest,
 )
-from wpnlab.families import _unlabeled_level, _unlabeled_up_to
+from wpnlab.families import _classes
 from wpnlab.graphs import (
     automorphism_count,
     canonical_key,
@@ -45,6 +45,7 @@ from wpnlab.witnessing import (
     theorem_sequence,
 )
 
+from .test_graphs import representatives
 from .test_witnessing import _is_certificate
 
 
@@ -68,7 +69,7 @@ CLASS_COUNTS = (1, 1, 2, 4, 11, 34, 156, 1044, 12346, 274668)
 
 def test_unlabeled_class_counts():
     for n in range(1, 9):
-        assert len(list(_unlabeled_level(n))) == CLASS_COUNTS[n]
+        assert len(_classes(n)) == CLASS_COUNTS[n]
 
 
 def test_unlabeled_cap_rejects_larger_n():
@@ -80,7 +81,7 @@ def test_unlabeled_cap_rejects_larger_n():
 def test_class_representatives_are_never_searched(monkeypatch):
     import wpnlab.families as fam
 
-    _unlabeled_up_to(7)
+    _classes(7)
     for m in (6, 8):
         canonical_key(cycle(m))   # the forbidden cycles the configs check
 
@@ -98,7 +99,7 @@ def test_class_representatives_are_never_searched(monkeypatch):
 
 def test_orbit_sizes_sum_to_labeled_count():
     for n in range(1, 9):
-        assert sum(w for _, w in _unlabeled_level(n)) == \
+        assert sum(math.factorial(n) // c.aut for c in _classes(n)) == \
             1 << (n * (n - 1) // 2)
     assert automorphism_count(clique(5)) == math.factorial(5)
     assert automorphism_count(cycle(5)) == 10
@@ -240,7 +241,9 @@ def test_stale_certificates_never_change_a_fold_count(theorem):
                   for n in range(1, 7)]
     else:
         # only 2 of the 12345 C8-free classes have no certificate
-        levels = [(8, "unlabeled", list(_unlabeled_level(8)))]
+        levels = [(8, "unlabeled", [(Graph._trusted(8, c.rows),
+                                     math.factorial(8) // c.aut)
+                                    for c in _classes(8)])]
     for n, mode, weighted in levels:
         config = CensusConfig(n=n, forbidden_g6=emit_graph6(cycle(m)),
                               theorem=theorem, mode=mode)
@@ -340,7 +343,7 @@ def test_soundness_crosscheck_cadence(monkeypatch):
     calls.clear()
     # n = 7: every 1024th certifiable class visited, counted without weights
     census(7, cycle(8), "c8", mode="unlabeled")
-    k = sum(1 for g, _ in _unlabeled_level(7)
+    k = sum(1 for g in representatives(7)
             if find_certificate(g, theorem_sequence("c8")) is not None)
     assert k > 1024 and len(calls) == 1 + (k - 1) // 1024
     calls.clear()
@@ -452,6 +455,28 @@ def test_gray_walk_reaches_the_uncertifiable_c8_classes_at_eight():
         assert walk == plain and plain[2] < plain[1]
 
 
+def test_gray_walk_reaches_the_uncertifiable_c10_graph_at_ten():
+    """4K2 + 2K1 is C10-free and has no c10 certificate; 4K2 + K1 has one.
+    The labeled n = 10 shard of the edges (2,3), (4,5), (6,7) varies
+    vertex 0's row, and its walk steps into the labelling (0,1), (2,3),
+    (4,5), (6,7) of 4K2 + 2K1 by flipping the pair (0, 1), inside one part
+    of the certificate before, so only a recheck of that part refutes it.
+    CensusConfig stops at n = 7, and the fold reads only n and the
+    theorem."""
+    config = types.SimpleNamespace(n=10, theorem="c10")
+    prefix = _edge_mask(Graph.from_edges(10, [(2, 3), (4, 5), (6, 7)]).adj) >> 9
+    walked = list(_shard_graphs(10, prefix, 9))
+    target = Graph.from_edges(10, [(0, 1), (2, 3), (4, 5), (6, 7)])
+    assert is_isomorphic(target, parse_graph6("I`?G?C???"))
+    assert (target.adj, 0b11) in walked
+    seq = theorem_sequence("c10")
+    assert find_certificate(target, seq) is None
+    assert sum(find_certificate(Graph(10, rows), seq) is not None
+               for rows, _ in walked) == 506
+    assert _fold(config, ((rows, 1, flip) for rows, flip in walked)) == \
+        (512, 512, 506)
+
+
 def test_census_config_rejects_bad_theorem_ids():
     c6 = emit_graph6(cycle(6))
     for theorem in ("c2l:3", "c2l:5", "c6x"):
@@ -527,16 +552,17 @@ def test_killed_labeled_run_keeps_its_finished_shards(tmp_path, monkeypatch,
 
     full_report, full_manifest = uninterrupted_n6
     expected = {s["prefix"]: s for s in json.loads(full_manifest)["shards"]}
-    real = census_module._count_shard
+    # the pool pickles the shard function by name, so the fold is patched
+    real = census_module._fold
     calls = [0]
 
-    def dies_third(config, prefix):
+    def dies_third(config, stream):
         calls[0] += 1
         if calls[0] == 3:
             raise RuntimeError("shard killed")
-        return real(config, prefix)
+        return real(config, stream)
 
-    monkeypatch.setattr(census_module, "_count_shard", dies_third)
+    monkeypatch.setattr(census_module, "_fold", dies_third)
     # pool workers see the patched module only when they are forked
     monkeypatch.setattr(multiprocessing, "Pool",
                         multiprocessing.get_context("fork").Pool)
@@ -548,7 +574,7 @@ def test_killed_labeled_run_keeps_its_finished_shards(tmp_path, monkeypatch,
     if threads == 1:
         assert [s["prefix"] for s in shards] == [0, 1]
     assert all(s == expected[s["prefix"]] for s in shards)
-    monkeypatch.setattr(census_module, "_count_shard", real)
+    monkeypatch.setattr(census_module, "_fold", real)
     resumed = census(6, cycle(6), "c6", threads=threads, manifest_path=str(path))
     assert canonical_json(resumed.to_dict()) == full_report
     assert path.read_bytes() == full_manifest
@@ -630,8 +656,9 @@ def test_girth5_filter_matches_networkx_girth():
     assert [kept(g) for g in named] == [True, True, False, True, False, True]
     assert [kept(g) for g in named] == [_nx_girth(g) >= 5 for g in named]
     for n in range(1, 9):
-        oracle = [_nx_girth(g) >= 5 for g, _ in _unlabeled_level(n)]
-        assert [kept(g) for g, _ in _unlabeled_level(n)] == oracle, n
+        graphs = representatives(n)
+        oracle = [_nx_girth(g) >= 5 for g in graphs]
+        assert [kept(g) for g in graphs] == oracle, n
         assert girth5_census(n, mode="unlabeled").graphs == sum(oracle), n
 
 

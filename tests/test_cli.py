@@ -135,6 +135,9 @@ def test_certify_positive_and_negative(capsys):
     code, payload = _run_json(capsys, ["certify", C6, "--theorem", "c6"])
     assert code == 0 and payload["certificate"] is None
     _validate(payload, "certify.schema.json")
+    # 4K2 + 2K1: C10-free, with no c10 certificate
+    assert main(["certify", "I`?G?C???", "--theorem", "c10"]) == 0
+    assert capsys.readouterr().out == "NONE\n"
 
 
 def test_certify_and_wpn_reports_are_pinned(capsys):

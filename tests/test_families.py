@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 
@@ -8,8 +9,6 @@ from wpnlab.families import (
     NAMED_FAMILIES,
     FamilySpec,
     NoFiniteBasisError,
-    _unlabeled_level,
-    _unlabeled_up_to,
     family_subset,
     heavy_degree_check,
     is_restricted,
@@ -29,7 +28,7 @@ from wpnlab.graphs import (
     star,
 )
 
-from .test_graphs import classes_up_to, graphs_up_to_6
+from .test_graphs import classes_up_to, graphs_up_to_6, representatives
 
 P3 = path(3)
 COP3 = P3.complement()
@@ -81,31 +80,40 @@ def test_class_generation_is_pinned():
 
 def test_class_generation_is_pinned_at_eight_vertices():
     """The graph6 list of the 12346 classes on 8 vertices, in order."""
-    text = "\n".join(emit_graph6(g) for g, _ in _unlabeled_level(8))
+    text = "\n".join(emit_graph6(g) for g in representatives(8))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "f7c1124834c4739b248453a465316221b7345db90154b8d451cac1b1ff507db4"
+
+
+def _fresh_reader(monkeypatch):
+    """Replace the class reader by one that has built no level.  The
+    reader reads the level below through the module, so the fresh one
+    builds its own levels, and the process's levels return afterwards."""
+    import wpnlab.families as fam
+
+    monkeypatch.setattr(fam, "_classes", functools.lru_cache(fam._classes.__wrapped__))
+    return fam._classes
 
 
 def test_levels_are_generated_once(monkeypatch):
     import wpnlab.families as fam
 
-    expected = _unlabeled_up_to(7)
+    expected = [fam._classes(n) for n in range(8)]
     calls = []
     real = fam._canon_search
     monkeypatch.setattr(fam, "_canon_search", lambda g: calls.append(g) or real(g))
-    monkeypatch.setattr(fam, "_levels", [])
-    assert fam._unlabeled_up_to(6) == expected[:209]
+    classes = _fresh_reader(monkeypatch)
+    assert classes(6) == expected[6]
     up_to_6 = len(calls)
-    assert fam._unlabeled_up_to(5) == expected[:53]
+    assert [classes(n) for n in range(7)] == expected[:7]
     assert len(calls) == up_to_6
-    level = list(fam._unlabeled_level(7))
-    assert [g.adj for g, _ in level] == [c.rows for c in expected[209:]]
-    assert sum(w for _, w in level) == 1 << 21
+    level = classes(7)
+    assert level == expected[7] and classes(7) is level
+    assert sum(math.factorial(7) // c.aut for c in level) == 1 << 21
     # n <= 6 then level 7 costs what one fresh n <= 7 run does
     up_to_7 = len(calls)
     calls.clear()
-    monkeypatch.setattr(fam, "_levels", [])
-    assert fam._unlabeled_up_to(7) == expected
+    assert _fresh_reader(monkeypatch)(7) == expected[7]
     assert len(calls) == up_to_7 > up_to_6
 
 
@@ -114,38 +122,19 @@ def test_class_levels_retain_few_bytes_per_class(monkeypatch):
     and no canonical-cache entry beside it."""
     import tracemalloc
 
-    import wpnlab.families as fam
     import wpnlab.graphs as gr
 
-    monkeypatch.setattr(fam, "_levels", [])
+    classes = _fresh_reader(monkeypatch)
     gr._canon_cached.cache_clear()
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        classes = len(fam._unlabeled_up_to(7))
+        count = sum(len(classes(n)) for n in range(8))
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert classes == 1253
-    assert retained <= 700 * classes, retained / classes
-
-
-def test_level_reader_builds_no_graph_before_it_is_read():
-    """A level reader holds the classes' search results by reference and
-    builds each representative as it is read, so before it is read it
-    holds next to nothing per class."""
-    import tracemalloc
-
-    _unlabeled_up_to(8)
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        reader = _unlabeled_level(8)
-        held = tracemalloc.get_traced_memory()[0] - before
-    finally:
-        tracemalloc.stop()
-    assert held <= 16 * 12346, held / 12346
-    assert sum(w for _, w in reader) == 1 << 28
+    assert count == 1253
+    assert retained <= 700 * count, retained / count
 
 
 def test_membership_is_pinned():

@@ -72,6 +72,16 @@ def test_partition_trends_rejects_a_negative_seed():
         "partition_trends.py: error: sampler seed must be at least 0, got -3"]
 
 
+def test_partition_trends_needs_two_samples():
+    """The standard error of the mean needs two samples, so fewer exit 2
+    with one line on stderr instead of a statistics traceback."""
+    for samples in ("1", "0"):
+        proc = _start("partition_trends.py", "--n", "20", "--samples", samples)
+        assert proc.returncode == 2 and proc.stdout == ""
+        assert proc.stderr.splitlines() == [
+            f"partition_trends.py: error: --samples must be at least 2, got {samples}"]
+
+
 def test_sequence_survey_tallies_c6_to_c12():
     lines = _run("sequence_survey.py")
     assert len(lines) == 4
@@ -83,3 +93,14 @@ def test_sequence_survey_tallies_c6_to_c12():
         "C10 (k=4): 25 sequences, {'case1': 25}")
     assert lines[3].startswith(
         "C12 (k=5): 31 sequences, {'case1': 31}")
+
+
+def test_sequence_survey_rejects_a_cycle_past_the_sequences_cap():
+    """`sequences` takes at most 16 vertices, so --max-cycle 18 is a usage
+    error (exit 2) before any row is printed, not a traceback after the
+    rows of C6..C16."""
+    proc = _start("sequence_survey.py", "--max-cycle", "18")
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.splitlines()[-1].endswith(
+        "--max-cycle is at most 16, the sequences cap, got 18")
+    assert "Traceback" not in proc.stderr

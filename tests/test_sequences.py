@@ -7,6 +7,7 @@ import pytest
 import wpnlab.families
 import wpnlab.graphs
 import wpnlab.sequences
+from wpnlab.counting import UniformPartitionSampler
 from wpnlab.families import FamilySpec
 from wpnlab.graphs import Graph, canonical_key, clique, contains_induced, cycle, \
     empty, path
@@ -256,6 +257,25 @@ SPLIT_GRAPHS = (
     + [random_graph(n, random.Random(100 + seed).getrandbits(n * (n - 1) // 2))
        for seed, n in enumerate(list(range(1, 9)) * 4)]
 )
+
+
+def test_sampled_c16_partitions_have_their_multisets_in_the_table():
+    """Each of 20000 uniform set partitions of V(C16) with at most 7
+    blocks has its padded sorted block classes in the k = 7 table.  A
+    sample can find a multiset missing from the table, but it can never
+    prove that none is missing."""
+    poset, multisets = wpnlab.sequences._tables(cycle(16), 7)
+    cls = poset.class_of_mask
+    sampler = UniformPartitionSampler(16, 2025)
+    kept = 0
+    while kept < 20000:
+        blocks = sampler.sample().blocks
+        if len(blocks) > 7:
+            continue
+        classes = [cls[sum(1 << v for v in b)] for b in blocks]
+        classes += [cls[0]] * (7 - len(blocks))
+        assert tuple(sorted(classes)) in multisets, blocks
+        kept += 1
 
 
 def test_split_test_matches_the_empty_constraint():
