@@ -12,8 +12,8 @@ import statistics
 from wpnlab.counting import (
     UniformPartitionSampler,
     bell,
-    partition_stats,
-    vertices_in_blocks_larger_than,
+    block_size_stats,
+    heavy_threshold,
 )
 
 
@@ -31,14 +31,9 @@ def main() -> None:
         sampler = UniformPartitionSampler(args.n, args.seed)
     except ValueError as e:
         ap.exit(2, f"{ap.prog}: error: {e}\n")
-    heavy_threshold = math.log(args.n) ** 3
-    blocks, nonsingle, heavy = [], [], []
-    for _ in range(args.samples):
-        p = sampler.sample()
-        st = partition_stats(p)
-        blocks.append(st.blocks)
-        nonsingle.append(st.nonsingleton_blocks)
-        heavy.append(vertices_in_blocks_larger_than(p, heavy_threshold))
+    t = heavy_threshold(args.n)
+    blocks, nonsingle, heavy = zip(*(block_size_stats(sampler.block_sizes(), t)
+                                     for _ in range(args.samples)))
 
     target = bell(args.n + 1) / bell(args.n) - 1
     mean = statistics.fmean(blocks)
@@ -48,7 +43,7 @@ def main() -> None:
           f"z={(mean - target) / se:+.2f})")
     print(f"mean nonsingletons    {statistics.fmean(nonsingle):.4f}")
     print(f"mean heavy vertices   {statistics.fmean(heavy):.4f} "
-          f"(threshold (ln n)^3 = {heavy_threshold:.1f})")
+          f"(threshold (ln n)^3 = {math.log(args.n) ** 3:.1f})")
 
 
 if __name__ == "__main__":

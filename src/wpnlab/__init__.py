@@ -52,6 +52,7 @@ from .counting import (  # noqa: F401
     iter_set_partitions,
     labeled_cograph_count,
     partition_stats,
+    vertices_in_blocks_larger_than,
 )
 from .census import (  # noqa: F401
     CensusReport,

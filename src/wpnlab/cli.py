@@ -12,7 +12,6 @@ exhausted.
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from decimal import MAX_EMAX, MAX_PREC, Decimal, Inexact, localcontext
@@ -28,11 +27,11 @@ from .census import (
 from .counting import (
     UniformPartitionSampler,
     bell,
+    block_size_stats,
     c2l_lower_bound,
     f_star,
+    heavy_threshold,
     labeled_cograph_count,
-    partition_stats,
-    vertices_in_blocks_larger_than,
 )
 from .families import NoFiniteBasisError
 from .graphs import Graph, Graph6Error, bits, emit_graph6, parse_adjacency_text, \
@@ -248,13 +247,8 @@ def _cmd_sample_partitions(args) -> int:
     if args.samples < 0:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     sampler = UniformPartitionSampler(args.n, args.seed)
-    heavy_threshold = math.log(args.n) ** 3
-    rows = []
-    for _ in range(args.samples):
-        p = sampler.sample()
-        st = partition_stats(p)
-        heavy = vertices_in_blocks_larger_than(p, heavy_threshold)
-        rows.append((st.blocks, st.nonsingleton_blocks, heavy))
+    t = heavy_threshold(args.n)
+    rows = [block_size_stats(sampler.block_sizes(), t) for _ in range(args.samples)]
     config = {"n": args.n, "samples": args.samples, "seed": args.seed}
     data = {"samples": [{"blocks": b, "nonsingletons": ns, "heavy_vertices": h}
                         for b, ns, h in rows]}

@@ -14,10 +14,12 @@ import bisect
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # The largest n each count accepts.  At its cap each takes 7-9 s of one
 # CPU (Python 3.11, 2-vCPU machine); the convolutions of f_star and the
@@ -231,15 +233,35 @@ class PartitionStats:
     nonsingleton_blocks: int
 
 
+def block_size_stats(sizes: Iterable[int], t: int) -> tuple[int, int, int]:
+    """(blocks, non-singleton blocks, elements in blocks larger than t) of
+    a partition with these block sizes."""
+    sizes = tuple(sizes)
+    heavy = sum(filter(t.__lt__, sizes))  # the sizes s with t < s
+    return len(sizes), len(sizes) - sizes.count(1), heavy
+
+
 def partition_stats(p: SetPartition) -> PartitionStats:
-    return PartitionStats(
-        blocks=len(p.blocks),
-        nonsingleton_blocks=sum(1 for b in p.blocks if len(b) > 1),
-    )
+    blocks, nonsingletons, _ = block_size_stats(map(len, p.blocks), p.n)
+    return PartitionStats(blocks=blocks, nonsingleton_blocks=nonsingletons)
 
 
 def vertices_in_blocks_larger_than(p: SetPartition, t: int) -> int:
-    return sum(len(b) for b in p.blocks if len(b) > t)
+    return block_size_stats(map(len, p.blocks), t)[2]
+
+
+def heavy_threshold(n: int) -> int:
+    """floor(ln(n)^3), so a block size s exceeds ln^3 n iff s exceeds this.
+
+    Worked at 30 significant digits: ln n and its cube are each rounded
+    once, so the cube is within 1e-25 of ln^3 n <= 440, while no ln^3 n
+    for 2 <= n <= MAX_SAMPLER_N comes nearer than 1.7e-5 to an integer
+    (n = 631), and ln 1 = 0 exactly.
+    """
+    if not 1 <= n <= MAX_SAMPLER_N:
+        raise ValueError(f"heavy threshold needs 1 <= n <= {MAX_SAMPLER_N}, got {n}")
+    ctx = Context(prec=30)
+    return int(ctx.power(ctx.ln(n), 3))  # int() floors a non-negative value
 
 
 @lru_cache(maxsize=32)
@@ -285,7 +307,10 @@ class UniformPartitionSampler:
     """Uniform random set partitions of an n-set (two-stage urn method:
     draw the urn count, drop each element in a uniform urn, discard empty
     urns).  Exact but for the urn counts past the table's cut-off, whose
-    total probability is below 2^-100."""
+    total probability is below 2^-100.
+
+    `sample()` and `block_sizes()` group the same draw, so a seeded
+    sampler gives the same stream whichever of them it is asked for."""
 
     def __init__(self, n: int, seed: int):
         if not 1 <= n <= MAX_SAMPLER_N:
@@ -297,8 +322,8 @@ class UniformPartitionSampler:
         self._rng = random.Random(seed)
         self._cum, self._total = _urn_weight_table(n)
 
-    def sample(self) -> SetPartition:
-        """One partition, blocks ordered by least element.
+    def _urns(self) -> list[int]:
+        """The urn of each element 0..n-1 in one draw.
 
         Each element's urn is drawn with `Random.randrange`'s own rejection
         loop (k random bits, redrawn while >= u), inlined, so a seeded
@@ -308,11 +333,29 @@ class UniformPartitionSampler:
         r = rng.randrange(self._total)
         u = bisect.bisect_right(self._cum, r) + 1  # urn counts start at 1
         getrandbits, k = rng.getrandbits, u.bit_length()
-        urns: dict[int, list[int]] = {}
-        for x in range(self.n):
+        urns: list[int] = []
+        append = urns.append
+        for _ in range(self.n):
             j = getrandbits(k)
             while j >= u:
                 j = getrandbits(k)
-            urns.setdefault(j, []).append(x)
-        # x runs upwards, so the urns are in order of their least element
-        return SetPartition(n=self.n, blocks=tuple(map(tuple, urns.values())))
+            append(j)
+        return urns
+
+    def sample(self) -> SetPartition:
+        """One partition, blocks ordered by least element."""
+        blocks: dict[int, list[int]] = {}
+        for x, j in enumerate(self._urns()):
+            blocks.setdefault(j, []).append(x)
+        # x runs upwards, so the blocks are in order of their least element
+        return SetPartition(n=self.n, blocks=tuple(map(tuple, blocks.values())))
+
+    def block_sizes(self) -> tuple[int, ...]:
+        """The block sizes of one partition, in order of least element:
+        those of `sample()`'s blocks, without building them.  Raises
+        ValueError unless they sum to n, the one check of `SetPartition`
+        that sizes can fail."""
+        sizes = tuple(Counter(self._urns()).values())
+        if sum(sizes) != self.n:
+            raise ValueError(f"block sizes sum to {sum(sizes)}, not n = {self.n}")
+        return sizes

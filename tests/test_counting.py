@@ -11,13 +11,16 @@ from wpnlab.counting import (
     MAX_BELL_N,
     MAX_COGRAPH_N,
     MAX_F_STAR_N,
+    MAX_SAMPLER_N,
     SetPartition,
     UniformPartitionSampler,
     bell,
+    block_size_stats,
     c2l_lower_bound,
     component_count,
     f_star,
     growth_bounds_hold,
+    heavy_threshold,
     iter_set_partitions,
     labeled_cograph_count,
     le_times_log2,
@@ -159,6 +162,19 @@ def test_partition_stats():
     assert st.blocks == 3 and st.nonsingleton_blocks == 2
     assert vertices_in_blocks_larger_than(p, 2) == 3
     assert vertices_in_blocks_larger_than(p, 1) == 5
+    assert block_size_stats((3, 1, 2), 1) == (3, 2, 5)
+    assert block_size_stats((1,), 0) == (1, 0, 1)
+    assert block_size_stats((), 0) == (0, 0, 0)
+
+
+def test_heavy_threshold_is_the_float_floor_it_replaced():
+    """The integer threshold equals floor(log(n)**3) in floats, the value
+    the pinned sample-partitions reports were written with."""
+    assert [heavy_threshold(n) for n in range(1, MAX_SAMPLER_N + 1)] == \
+        [math.floor(math.log(n) ** 3) for n in range(1, MAX_SAMPLER_N + 1)]
+    for n in (0, MAX_SAMPLER_N + 1):
+        with pytest.raises(ValueError, match="heavy threshold needs"):
+            heavy_threshold(n)
 
 
 def test_sampler_determinism_and_bounds():
@@ -197,18 +213,32 @@ def _randrange_sample(sampler):
 def test_sampler_stream_matches_randrange_reference():
     """The inlined urn draw consumes the generator exactly as `randrange`
     does, so seeded samples equal the reference's, across urn counts at
-    and around powers of two."""
+    and around powers of two; `block_sizes()` makes the same draw, so a
+    twin asked only for sizes gets those of each sample and ends in the
+    same generator state."""
     urn_counts = set()
     cases = [(n, seed, 5) for n in range(1, 13) for seed in range(50)]
     cases += [(50, seed, 4) for seed in range(3)] + [(2000, 1, 2)]
     for n, seed, samples in cases:
         fast = UniformPartitionSampler(n, seed)
         ref = UniformPartitionSampler(n, seed)
+        sizes = UniformPartitionSampler(n, seed)
         for _ in range(samples):
             u, blocks = _randrange_sample(ref)
             urn_counts.add(u)
-            assert fast.sample().blocks == blocks, (n, seed)
+            b = fast.sample().blocks
+            assert b == blocks, (n, seed)
+            assert sizes.block_sizes() == tuple(map(len, b)), (n, seed)
+        assert sizes._rng.getstate() == fast._rng.getstate() == ref._rng.getstate()
     assert {1, 2, 3, 4, 5, 7, 8, 9} <= urn_counts
+
+
+def test_block_sizes_raise_unless_they_sum_to_n():
+    """The sizes' one check is a raise, so it holds under python -O too."""
+    s = UniformPartitionSampler(3, 1)
+    s._urns = lambda: [0, 1]
+    with pytest.raises(ValueError, match="block sizes sum to 2, not n = 3"):
+        s.block_sizes()
 
 
 def test_sampler_n1_and_n2():
