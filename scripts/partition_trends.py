@@ -32,7 +32,7 @@ def main() -> None:
     except ValueError as e:
         ap.exit(2, f"{ap.prog}: error: {e}\n")
     t = heavy_threshold(args.n)
-    blocks, nonsingle, heavy = zip(*(block_size_stats(sampler.block_sizes(), t)
+    blocks, nonsingle, heavy = zip(*(block_size_stats(sampler.sample(sizes=True), t)
                                      for _ in range(args.samples)))
 
     target = bell(args.n + 1) / bell(args.n) - 1

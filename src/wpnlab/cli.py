@@ -248,7 +248,8 @@ def _cmd_sample_partitions(args) -> int:
         raise ValueError(f"--samples must be at least 0, got {args.samples}")
     sampler = UniformPartitionSampler(args.n, args.seed)
     t = heavy_threshold(args.n)
-    rows = [block_size_stats(sampler.block_sizes(), t) for _ in range(args.samples)]
+    rows = [block_size_stats(sampler.sample(sizes=True), t)
+            for _ in range(args.samples)]
     config = {"n": args.n, "samples": args.samples, "seed": args.seed}
     data = {"samples": [{"blocks": b, "nonsingletons": ns, "heavy_vertices": h}
                         for b, ns, h in rows]}

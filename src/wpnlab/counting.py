@@ -309,7 +309,7 @@ class UniformPartitionSampler:
     urns).  Exact but for the urn counts past the table's cut-off, whose
     total probability is below 2^-100.
 
-    `sample()` and `block_sizes()` group the same draw, so a seeded
+    `sample()` and `sample(sizes=True)` read the same draw, so a seeded
     sampler gives the same stream whichever of them it is asked for."""
 
     def __init__(self, n: int, seed: int):
@@ -342,20 +342,21 @@ class UniformPartitionSampler:
             append(j)
         return urns
 
-    def sample(self) -> SetPartition:
-        """One partition, blocks ordered by least element."""
+    def sample(self, *, sizes: bool = False) -> SetPartition | tuple[int, ...]:
+        """One partition, blocks ordered by least element.
+
+        With sizes=True, only its block sizes in that order, counted from
+        the same draw without building the blocks; raises ValueError unless
+        they sum to n, the one check of `SetPartition` that sizes can fail.
+        """
+        urns = self._urns()
+        if sizes:
+            counts = tuple(Counter(urns).values())
+            if sum(counts) != self.n:
+                raise ValueError(f"block sizes sum to {sum(counts)}, not n = {self.n}")
+            return counts
         blocks: dict[int, list[int]] = {}
-        for x, j in enumerate(self._urns()):
+        for x, j in enumerate(urns):
             blocks.setdefault(j, []).append(x)
         # x runs upwards, so the blocks are in order of their least element
         return SetPartition(n=self.n, blocks=tuple(map(tuple, blocks.values())))
-
-    def block_sizes(self) -> tuple[int, ...]:
-        """The block sizes of one partition, in order of least element:
-        those of `sample()`'s blocks, without building them.  Raises
-        ValueError unless they sum to n, the one check of `SetPartition`
-        that sizes can fail."""
-        sizes = tuple(Counter(self._urns()).values())
-        if sum(sizes) != self.n:
-            raise ValueError(f"block sizes sum to {sum(sizes)}, not n = {self.n}")
-        return sizes

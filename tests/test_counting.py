@@ -213,9 +213,9 @@ def _randrange_sample(sampler):
 def test_sampler_stream_matches_randrange_reference():
     """The inlined urn draw consumes the generator exactly as `randrange`
     does, so seeded samples equal the reference's, across urn counts at
-    and around powers of two; `block_sizes()` makes the same draw, so a
-    twin asked only for sizes gets those of each sample and ends in the
-    same generator state."""
+    and around powers of two; `sample(sizes=True)` reads the same draw,
+    so a twin asked only for sizes gets those of each sample and ends in
+    the same generator state."""
     urn_counts = set()
     cases = [(n, seed, 5) for n in range(1, 13) for seed in range(50)]
     cases += [(50, seed, 4) for seed in range(3)] + [(2000, 1, 2)]
@@ -228,17 +228,17 @@ def test_sampler_stream_matches_randrange_reference():
             urn_counts.add(u)
             b = fast.sample().blocks
             assert b == blocks, (n, seed)
-            assert sizes.block_sizes() == tuple(map(len, b)), (n, seed)
+            assert sizes.sample(sizes=True) == tuple(map(len, b)), (n, seed)
         assert sizes._rng.getstate() == fast._rng.getstate() == ref._rng.getstate()
     assert {1, 2, 3, 4, 5, 7, 8, 9} <= urn_counts
 
 
-def test_block_sizes_raise_unless_they_sum_to_n():
+def test_sampled_sizes_raise_unless_they_sum_to_n():
     """The sizes' one check is a raise, so it holds under python -O too."""
     s = UniformPartitionSampler(3, 1)
     s._urns = lambda: [0, 1]
     with pytest.raises(ValueError, match="block sizes sum to 2, not n = 3"):
-        s.block_sizes()
+        s.sample(sizes=True)
 
 
 def test_sampler_n1_and_n2():
